@@ -3,8 +3,8 @@
 Rationals are plain ``fractions.Fraction`` values throughout the package:
 they already enforce gcd(|num|, den) = 1 and den > 0.  This module adds the
 handful of exact routines the topology pipelines need: modular inverses,
-even continued fractions, Laurent polynomials, signatures of symmetric
-integer matrices, and Smith normal form.
+floor sums, even continued fractions, Laurent polynomials, signatures of
+symmetric integer matrices, and Smith normal form.
 """
 
 from __future__ import annotations
@@ -24,6 +24,30 @@ def mod_inverse(a: int, p: int) -> int:
     if g != 1:
         raise NotCoprimeError(f"gcd({a}, {p}) = {g}, no inverse mod {p}")
     return pow(a, -1, p)
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Return sum_{t=0}^{n-1} floor((a*t + b) / m) in O(log m) steps.
+
+    Requires n >= 0 and m >= 1; a and b may be any integers.  Each round
+    peels off the integer parts of a/m and b/m, then swaps the roles of the
+    two axes of the lattice-point count under the line y = (a*x + b)/m, the
+    Euclidean step of the AtCoder Library ``floor_sum``.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n = {n}, m = {m}")
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if not 0 <= b < m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b, m, a = y_max // m, y_max % m, a, m
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:

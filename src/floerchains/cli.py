@@ -193,6 +193,9 @@ def _cmd_torus(args) -> Dict:
             notes=(f"routed through the two-bridge pair ({q}, 1)",),
             extras={"total_rank": ranks.total},
         )
+    if p % 2 == 0:
+        # the Seifert route below takes the odd strand count first
+        p, q = q, p
     if q % 2 == 0:
         data = torus_even_seifert_data(p, q)
         sign = signatures.torus_signature(p, q)

@@ -10,6 +10,11 @@ representation and the trivial one, plus one, is a lattice count
 over the congruence line i + q*j = 0 (mod p) intersected with the rectangle
 |i| <= k1, |j| <= k2, where k1 = ell and k2 = -r*ell mod p with q*r = 1
 (mod p).  N1 counts interior points, N2 boundary points.
+
+Both counts are closed forms in O(log p): N1 is a difference of two floor
+sums (``arith.floor_sum``) and N2 is 0 or 2 (see ``lattice_counts``).  The
+tests pin them to a walk over the j-range and to a double loop over the
+whole rectangle.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .arith import mod_inverse
+from .arith import floor_sum, mod_inverse
 from .errors import OddSignatureError
 
 
@@ -59,25 +64,25 @@ def lens_reps(p: int, q: int) -> List[LensRep]:
 def lattice_counts(rep: LensRep) -> LatticeCounts:
     """Count congruence-line points in and on the rectangle |i| <= k1, |j| <= k2.
 
-    The enumeration runs over the full j-range of the rectangle; since
-    k1 <= (p-1)/2, each j admits at most one i with |i| <= k1 in its
-    congruence class, namely the symmetric representative of -q*j mod p.
+    Interior points: write j = t - (k2 - 1) with 0 <= t <= 2*k2 - 2, so that
+    x_t = (p - q)*t + b, b = q*(k2 - 1) + k1 - 1, is congruent to
+    -q*j + k1 - 1.  Since 2*k1 - 1 < p, the class of -q*j holds an i with
+    |i| < k1 exactly when x_t mod p < w = 2*k1 - 1.  The indicator
+    [x mod p < w] equals floor(x/p) - floor((x + p - w)/p) + 1, so N1 is
+    two floor sums.
+
+    Boundary points: -q*k2 = k1 (mod p), so j = +-k2 lands on the corners
+    (+-k1, +-k2), which count for neither.  The other points with |i| = k1
+    are j = k2 - p and j = p - k2, inside |j| < k2 exactly when 2*k2 > p.
     """
     p, q, ell = rep.p, rep.q, rep.ell
     r = mod_inverse(q, p)
     k1 = ell
     k2 = (-r * ell) % p
-    half = (p - 1) // 2
-    n1 = n2 = 0
-    for j in range(-k2, k2 + 1):
-        i = (-q * j) % p
-        if i > half:
-            i -= p
-        ai, aj = abs(i), abs(j)
-        if ai < k1 and aj < k2:
-            n1 += 1
-        elif (ai == k1 and aj < k2) or (ai < k1 and aj == k2):
-            n2 += 1
+    n, a, w = 2 * k2 - 1, p - q, 2 * k1 - 1
+    b = (q * (k2 - 1) + k1 - 1) % p
+    n1 = floor_sum(n, p, a, b) - floor_sum(n, p, a, b + p - w) + n
+    n2 = 2 if 2 * k2 > p else 0
     return LatticeCounts(k1=k1, k2=k2, n1=n1, n2=n2)
 
 

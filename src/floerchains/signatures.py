@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import even_continued_fraction, signature
+from .arith import floor_sum
 from .covers import SeifertData
 from .errors import NeedsExplicitSignatureError, NotCoprimeError, OddSignatureError
 
@@ -84,25 +84,27 @@ KnotSpec = Union[TwoBridge, Torus, Pretzel, Montesinos, ExplicitSignature]
 def two_bridge_signature(p: int, q: int) -> int:
     """Signature of the two-bridge knot attached to (p, q).
 
-    Built from the even continued fraction [c1, ..., c2n] of the pair: the
-    symmetric tridiagonal matrix with diagonal (c1, ..., c2n) and
-    off-diagonal ones is a Goeritz-type form of the knot, and its exact
-    signature is returned.  |value| <= p - 1 and the value is even; the
+    Closed form: with q_odd the odd representative of q in (-p, p),
+
+        sigma = -sum_{i=1}^{p-1} (-1)^floor(i*q_odd/p).
+
+    Replacing q_odd by a = q_odd mod 2p keeps every parity, and
+    (-1)^f = 1 - 2f + 4*floor(f/2) with floor(f/2) = floor(i*a/(2p)), so
+    the sum is two floor sums (``arith.floor_sum``) and costs O(log p).
+    The tests pin it to the exact signature (``arith.signature``) of the
+    tridiagonal Goeritz-type form of ``even_continued_fraction(p, q)``.
+    As a sum of p - 1 signs the value is even with |value| <= p - 1; the
     figure-eight pair (5, 3) gives 0 and (3, 1) gives -2.
     """
     if p == 1:
         return 0
-    entries = even_continued_fraction(p, q)
-    n = len(entries)
-    matrix = [[0] * n for _ in range(n)]
-    for i, c in enumerate(entries):
-        matrix[i][i] = c
-        if i + 1 < n:
-            matrix[i][i + 1] = 1
-            matrix[i + 1][i] = 1
-    value = signature(matrix)
-    assert value % 2 == 0 and abs(value) <= p - 1
-    return value
+    if p < 1 or p % 2 == 0:
+        raise ValueError(f"p must be odd and > 1, got {p}")
+    q0 = q % p
+    if q0 == 0 or math.gcd(p, q0) != 1:
+        raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")
+    a = q0 if q0 % 2 else q0 + p  # q_odd mod 2p
+    return -((p - 1) - 2 * floor_sum(p, p, a, 0) + 4 * floor_sum(p, 2 * p, a, 0))
 
 
 def torus_signature(p: int, q: int) -> int:

@@ -8,6 +8,7 @@ from floerchains.arith import (
     LaurentPoly,
     evaluate_minus_fraction,
     even_continued_fraction,
+    floor_sum,
     mod_inverse,
     second_derivative_at_one,
     signature,
@@ -38,6 +39,39 @@ class TestModInverse:
             for a in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
                 if math.gcd(a, p) == 1:
                     assert (a * mod_inverse(a, p)) % p == 1
+
+
+class TestFloorSum:
+    @staticmethod
+    def brute(n, m, a, b):
+        return sum((a * t + b) // m for t in range(n))
+
+    @pytest.mark.parametrize("n,m,a,b,want", [(0, 5, 3, 2, 0), (4, 10, 6, 3, 3), (6, 5, 4, 3, 13)])
+    def test_examples(self, n, m, a, b, want):
+        assert floor_sum(n, m, a, b) == want == self.brute(n, m, a, b)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            n = rng.randrange(0, 60)
+            m = rng.randrange(1, 80)
+            # a >= m, b >= m and negative values all occur
+            a = rng.randrange(-3 * m, 3 * m)
+            b = rng.randrange(-3 * m, 3 * m)
+            assert floor_sum(n, m, a, b) == self.brute(n, m, a, b), (n, m, a, b)
+
+    def test_large_arguments(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            m = rng.randrange(1, 10**6)
+            n = rng.randrange(0, 2000)
+            a, b = rng.randrange(-(10**9), 10**9), rng.randrange(-(10**9), 10**9)
+            assert floor_sum(n, m, a, b) == self.brute(n, m, a, b)
+
+    @pytest.mark.parametrize("n,m", [(-1, 5), (3, 0), (3, -2)])
+    def test_rejects_bad_range(self, n, m):
+        with pytest.raises(ValueError):
+            floor_sum(n, m, 1, 0)
 
 
 class TestEvenContinuedFraction:

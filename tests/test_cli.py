@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import floerchains
 from floerchains.cli import main, parse_alexander, parse_pairs
+from floerchains.signatures import torus_signature
 
 
 def run(capsys, *argv):
@@ -57,6 +63,23 @@ class TestTwoBridgeCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"] == "NotCoprimeError"
+
+    def test_large_pair_finishes(self):
+        # dense elimination on the Goeritz form is cubic in p at q = p - 1
+        # and runs far past the timeout at this size
+        src = Path(floerchains.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["two-bridge", "-p", "10001", "-q", "10000", "--json"]
+        done = subprocess.run(
+            [sys.executable, "-m", "floerchains.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        record = json.loads(done.stdout)
+        assert record["ranks"] == [2501, 2500, 2500, 2500]
+        assert record["extras"]["total_rank"] == 10001
+        special = [g for g in record["generators"] if g["origin"] == "special"]
+        assert [g["grading"] for g in special] == [0]
 
 
 class TestOtherCommands:
@@ -140,6 +163,19 @@ class TestOtherCommands:
         record = json.loads(out)
         assert code == 0
         assert sum(record["ranks"]) == 5
+
+    @pytest.mark.parametrize("p,q", [(4, 5), (6, 7), (8, 5)])
+    def test_torus_even_smaller_strand_count(self, capsys, p, q):
+        records = []
+        for argv in ((p, q), (q, p)):
+            code, out, _ = run(capsys, "torus", *map(str, argv), "--json")
+            assert code == 0
+            records.append(json.loads(out))
+        first, second = records
+        assert first["ranks"] == second["ranks"]
+        assert first["generators"] == second["generators"]
+        special = [g for g in first["generators"] if g["origin"] == "special"]
+        assert [g["grading"] for g in special] == [torus_signature(p, q) % 4]
 
     def test_homology_alexander(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -32,6 +33,30 @@ def naive_counts(rep):
     return LatticeCounts(k1, k2, n1, n2)
 
 
+def walk_counts(rep):
+    """Reference walk over the j-range of the rectangle, O(p) per ell.
+
+    Since k1 <= (p-1)/2, each j admits at most one i with |i| <= k1 in its
+    congruence class, namely the symmetric representative of -q*j mod p.
+    """
+    p, q, ell = rep.p, rep.q, rep.ell
+    r = mod_inverse(q, p)
+    k1 = ell
+    k2 = (-r * ell) % p
+    half = (p - 1) // 2
+    n1 = n2 = 0
+    for j in range(-k2, k2 + 1):
+        i = (-q * j) % p
+        if i > half:
+            i -= p
+        ai, aj = abs(i), abs(j)
+        if ai < k1 and aj < k2:
+            n1 += 1
+        elif (ai == k1 and aj < k2) or (ai < k1 and aj == k2):
+            n2 += 1
+    return LatticeCounts(k1=k1, k2=k2, n1=n1, n2=n2)
+
+
 class TestLensReps:
     def test_counts(self):
         assert [r.ell for r in lens_reps(5, 3)] == [1, 2]
@@ -59,7 +84,17 @@ class TestLatticeCounts:
                     continue
                 for ell in range(1, (p - 1) // 2 + 1):
                     rep = LensRep(p, q, ell)
-                    assert lattice_counts(rep) == naive_counts(rep)
+                    counts = lattice_counts(rep)
+                    assert counts == walk_counts(rep) == naive_counts(rep)
+
+    def test_matches_walk_for_large_p(self):
+        # the double loop is cubic in p here; the walk is pinned to it above
+        rng = random.Random(2)
+        for _ in range(6):
+            p = rng.randrange(201, 1202, 2)
+            q = rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])
+            for rep in lens_reps(p, q):
+                assert lattice_counts(rep) == walk_counts(rep), (p, q, rep.ell)
 
     def test_interior_count_odd_and_positive(self):
         for p in range(3, 40, 2):

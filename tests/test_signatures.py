@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from floerchains.arith import signature
+from floerchains.arith import even_continued_fraction, signature
 from floerchains.covers import SeifertData
 from floerchains.errors import NeedsExplicitSignatureError, NotCoprimeError
 from floerchains.signatures import (
@@ -33,6 +34,27 @@ def brick_seifert_matrix(p, q):
     return v
 
 
+def goeritz_signature(p, q):
+    """Exact signature of the tridiagonal form of the even continued fraction."""
+    entries = even_continued_fraction(p, q)
+    n = len(entries)
+    matrix = [[0] * n for _ in range(n)]
+    for i, c in enumerate(entries):
+        matrix[i][i] = c
+        if i + 1 < n:
+            matrix[i][i + 1] = matrix[i + 1][i] = 1
+    return signature(matrix)
+
+
+def partial_quotient_sum(p, q):
+    """Sum of the partial quotients of the regular continued fraction of p/q."""
+    total = 0
+    while q:
+        total += p // q
+        p, q = q, p % q
+    return total
+
+
 def seifert_oracle_signature(p, q):
     v = brick_seifert_matrix(p, q)
     n = len(v)
@@ -51,6 +73,34 @@ class TestTwoBridgeSignature:
         v = [[-1, 1], [0, -1]]
         sym = [[v[i][j] + v[j][i] for j in range(2)] for i in range(2)]
         assert signature(sym) == two_bridge_signature(3, 1) == -2
+
+    def test_matches_goeritz_form_small_p(self):
+        for p in range(3, 100, 2):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    assert two_bridge_signature(p, q) == goeritz_signature(p, q), (p, q)
+
+    def test_matches_goeritz_form_large_p(self):
+        # short continued fractions keep the dense elimination cheap
+        rng = random.Random(3)
+        checked = 0
+        while checked < 40:
+            p = rng.randrange(101, 1202, 2)
+            q = rng.randrange(1, p)
+            if math.gcd(p, q) != 1 or partial_quotient_sum(p, q) > 48:
+                continue
+            assert two_bridge_signature(p, q) == goeritz_signature(p, q), (p, q)
+            checked += 1
+
+    def test_input_errors(self):
+        with pytest.raises(ValueError):
+            two_bridge_signature(4, 1)
+        with pytest.raises(ValueError):
+            two_bridge_signature(-3, 1)
+        with pytest.raises(NotCoprimeError):
+            two_bridge_signature(9, 3)
+        with pytest.raises(NotCoprimeError):
+            two_bridge_signature(7, 14)
 
     def test_q_inverse_invariance(self):
         for p in range(3, 100, 2):
