@@ -29,7 +29,7 @@ from .covers import (
     grading_shift_delta,
     seifert_h1_order,
 )
-from .lens import LensRep, lattice_counts, lens_reps, index_plus_one, morse_bott_index
+from .lens import LensRep, lattice_counts, lens_reps, index_plus_one
 from .seifert import (
     RotationRep,
     TwistMask,
@@ -38,37 +38,21 @@ from .seifert import (
     enumerate_projective,
     enumerate_reducibles,
 )
-from .signatures import (
-    ExplicitSignature,
-    KnotSpec,
-    Montesinos,
-    Pretzel,
-    Torus,
-    TwoBridge,
-    signature_mod4,
-    torus_signature,
-    two_bridge_signature,
-)
+from .signatures import torus_signature, two_bridge_signature
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainRanks",
     "CoverHomology",
-    "ExplicitSignature",
     "GradedGenerators",
-    "KnotSpec",
     "LaurentPoly",
     "LensRep",
     "LinkComplex",
-    "Montesinos",
-    "Pretzel",
     "RotationRep",
     "SeifertData",
-    "Torus",
     "TorusComplex",
     "TwistMask",
-    "TwoBridge",
     "branched_cover_h1",
     "casson",
     "casson_from_alexander",
@@ -85,10 +69,8 @@ __all__ = [
     "mod_inverse",
     "montesinos_knot_complex",
     "montesinos_link_complex",
-    "morse_bott_index",
     "seifert_h1_order",
     "signature",
-    "signature_mod4",
     "special_montesinos_complex",
     "torus_alexander",
     "torus_complex",

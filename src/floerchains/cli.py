@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Subcommands mirror the supported families.  Every run prints either a
-human-readable table or a single JSON object with the stable fields
-input, generators, ranks, anchoring, conjectural, warnings (plus notes and
-extras).  Exit codes: 0 success, 1 domain error, 2 usage error.
+Subcommands mirror the supported families.  Every input takes one path:
+parse (a ``config`` file is rebuilt into argv and parsed again), then the
+family's handler, which builds the record with ``_record``.  A run prints
+either a human-readable table or a single JSON object with the stable
+fields input, generators, ranks, anchoring, conjectural, warnings (plus
+notes and extras).  ``regress`` replays the golden records shipped in
+``golden.jsonl`` through the same path and diffs each whole record.
+Exit codes: 0 success, 1 domain or input error (a JSON object with the
+error name under --json), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import complexes, covers, lens, signatures
-from .arith import LaurentPoly, mod_inverse
+from . import covers, signatures
+from .arith import LaurentPoly
 from .complexes import (
     ChainRanks,
     GradedGenerators,
@@ -23,7 +29,6 @@ from .complexes import (
     montesinos_knot_complex,
     montesinos_link_complex,
     special_montesinos_complex,
-    torus_alexander,
     casson_from_alexander,
     torus_complex,
     torus_even_seifert_data,
@@ -31,7 +36,6 @@ from .complexes import (
 )
 from .covers import SeifertData, branched_cover_h1, cup_form, grading_shift_delta
 from .errors import DomainError
-from .seifert import casson, enumerate_irreducibles
 
 
 def parse_pairs(text: str) -> SeifertData:
@@ -100,7 +104,10 @@ def _record(
         "extras": extras or {},
     }
     if ranks is not None and generators is not None and not generators.unknown:
-        assert sum(ranks.r) == generators.total
+        if ranks.total != generators.total:
+            raise ArithmeticError(
+                f"ranks {ranks.r} do not sum to the {generators.total} generators"
+            )
     return record
 
 
@@ -144,13 +151,13 @@ def _cmd_two_bridge(args) -> Dict:
 
 def _cmd_brieskorn(args) -> Dict:
     ranks = special_montesinos_complex(args.p, args.q, args.r)
-    lam = casson(args.p, args.q, args.r)
+    b = ranks.r[1]  # minus twice the Casson invariant
     return _record(
         {"command": "brieskorn-knot", "p": args.p, "q": args.q, "r": args.r},
         ranks=ranks,
         extras={
-            "casson": lam,
-            "irreducible_classes": -2 * lam,
+            "casson": -b // 2,
+            "irreducible_classes": b,
             "total_rank": ranks.total,
         },
     )
@@ -223,8 +230,8 @@ def _cmd_torus(args) -> Dict:
         warnings=("rank vector is conjectural; only the total rank is certified",),
         extras={
             "total_rank": result.total_rank,
-            "special_grading": result.special_grading,
-            "signature": signatures.torus_signature(p, q),
+            "special_grading": result.signature % 4,
+            "signature": result.signature,
         },
     )
 
@@ -298,122 +305,55 @@ def _cmd_homology(args) -> Dict:
     return _record(echo, extras=extras)
 
 
-def _regress_corpus():
-    """Built-in regression cases with their expected values.
+def _golden_cases() -> List[Dict]:
+    """The golden corpus: one {"name", "argv", "record"} object per line."""
+    path = os.path.join(os.path.dirname(__file__), "golden.jsonl")
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
-    Each case returns (expected, actual) as comparable strings.
-    """
 
-    def two_bridge_case():
-        ranks = complexes.two_bridge_complex(5, 3)
-        indices = {
-            ell: lens.index_plus_one(lens.LensRep(5, mod_inverse(3, 5), ell))
-            for ell in (1, 2)
-        }
-        return "(1, 1, 2, 1) absolute, indices {1: 2, 2: 4}", (
-            f"{ranks.r} {ranks.anchoring}, indices {indices}"
-        )
-
-    def brieskorn_case():
-        ranks = special_montesinos_complex(2, 3, 7)
-        lam = casson(2, 3, 7)
-        count = len(enumerate_irreducibles(covers.SeifertData(((2, 1), (3, 1), (7, -6)))))
-        return "(3, 2, 2, 2), casson -1, count 2", f"{ranks.r}, casson {lam}, count {count}"
-
-    def montesinos_knot_case():
-        data = SeifertData(((2, -1), (3, 1), (3, 1)))
-        gens = montesinos_knot_complex(data, -6, (2, 0, 0, 2))
-        ranks = gens.ranks()
-        special = next(e.grading for e in gens.entries if e.origin == "special")
-        reducible = sorted(
-            e.grading for e in gens.entries if e.origin == "reducible"
-        )
-        return "(2, 1, 2, 2), special 2, reducible [1, 2]", (
-            f"{ranks.r}, special {special}, reducible {reducible}"
-        )
-
-    def pretzel_link_case():
-        data = SeifertData(((2, 1), (3, -1), (6, -1)))
-        # the linking number is even; 4 is the value consistent with the
-        # Euler-characteristic identity, recorded here as inferred
-        result = montesinos_link_complex(data, 4)
-        return "cyclic (0, 2, 0, 2), so3 1, su2 2", (
-            f"{result.ranks.anchoring} {result.ranks.r}, "
-            f"so3 {result.so3_classes}, su2 {result.su2_classes}"
-        )
-
-    def montesinos_link_case():
-        data = SeifertData(((2, 1), (5, -2), (10, -1)))
-        result = montesinos_link_complex(data, 4)
-        lam = casson_from_alexander(torus_alexander(2, 5))
-        return "cyclic (2, 4, 2, 4), classes 3, -casson 3", (
-            f"{result.ranks.anchoring} {result.ranks.r}, "
-            f"classes {result.so3_classes}, -casson {-lam}"
-        )
-
-    def torus_case():
-        result = torus_complex(3, 5)
-        return "total 9, conjectural (3, 2, 2, 2)", (
-            f"total {result.total_rank}, "
-            f"{'conjectural ' if result.ranks.conjectural else ''}{result.ranks.r}"
-        )
-
-    def torus_even_case():
-        data = torus_even_seifert_data(3, 4)
-        gens = montesinos_knot_complex(data, signatures.torus_signature(3, 4), (2, 0, 0, 2))
-        return "(2, 1, 2, 2)", f"{gens.ranks().r}"
-
-    def euler_sweep_case():
-        bad = []
-        for p in range(3, 46, 2):
-            for q in range(1, p):
-                if math.gcd(p, q) != 1:
-                    continue
-                ranks = complexes.two_bridge_complex(p, q)
-                chi = euler_characteristic(ranks)
-                if chi.value != 1 or ranks.total != p:
-                    bad.append((p, q))
-        expected = "chi = 1 and total = p for all p <= 45"
-        return expected, expected if not bad else f"failures {bad}"
-
-    def signature_case():
-        fig8 = signatures.two_bridge_signature(5, 3)
-        trefoil = signatures.two_bridge_signature(3, 1)
-        torus_vals = [signatures.torus_signature(*pq) for pq in ((2, 3), (2, 5), (3, 4), (3, 5))]
-        return "fig8 0, trefoil -2, torus [-2, -4, -6, -8]", (
-            f"fig8 {fig8}, trefoil {trefoil}, torus {torus_vals}"
-        )
-
-    def hopf_case():
-        return "cup 1, shift 0", f"cup {cup_form(1)}, shift {grading_shift_delta(1)}"
-
+def _golden_diff(parser: argparse.ArgumentParser, case: Dict) -> List[str]:
+    """One line per top-level key where the replayed record differs from the golden one."""
+    _, actual = _evaluate(_parse(parser, case["argv"]))
+    actual = json.loads(json.dumps(actual))  # as --json would print it
+    expected = case["record"]
     return [
-        ("two-bridge figure-eight", two_bridge_case),
-        ("brieskorn (2,3,7)", brieskorn_case),
-        ("montesinos-knot (2,-1)(3,1)(3,1)", montesinos_knot_case),
-        ("pretzel link (2,1)(3,-1)(6,-1)", pretzel_link_case),
-        ("montesinos-link (2,1)(5,-2)(10,-1)", montesinos_link_case),
-        ("torus (3,5)", torus_case),
-        ("torus (3,4) via seifert route", torus_even_case),
-        ("two-bridge euler sweep", euler_sweep_case),
-        ("signature anchors", signature_case),
-        ("hopf cup form", hopf_case),
+        f"{key}: expected {expected.get(key)!r}, actual {actual.get(key)!r}"
+        for key in sorted(expected.keys() | actual.keys())
+        if expected.get(key) != actual.get(key)
     ]
 
 
-def _cmd_regress(args) -> int:
+def _euler_sweep_failures(parser: argparse.ArgumentParser) -> List[str]:
+    """Two-bridge records with p <= 45 whose Euler number is not 1 or total rank not p."""
+    bad = []
+    for p in range(3, 46, 2):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            _, record = _evaluate(_parse(parser, ["two-bridge", "-p", str(p), "-q", str(q)]))
+            extras = record.get("extras", {})
+            if extras.get("euler_characteristic") != 1 or extras.get("total_rank") != p:
+                bad.append(f"({p}, {q}): {extras or record}")
+    return bad
+
+
+def _cmd_regress(parser: argparse.ArgumentParser, args) -> int:
+    checks = [
+        (case["name"], lambda case=case: _golden_diff(parser, case))
+        for case in _golden_cases()
+    ]
+    checks.append(("two-bridge euler sweep", lambda: _euler_sweep_failures(parser)))
     failures = 0
-    for name, case in _regress_corpus():
+    for name, check in checks:
         if args.filter and args.filter not in name:
             continue
-        expected, actual = case()
-        ok = expected == actual
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}")
-        if not ok or args.verbose:
-            print(f"    expected: {expected}")
-            print(f"    actual:   {actual}")
+        problems = check()
+        failures += bool(problems)
+        print(f"[{'FAIL' if problems else 'PASS'}] {name}")
+        if args.verbose:
+            for line in problems:
+                print(f"    {line}")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing case(s)")
     return 0 if failures == 0 else 1
 
@@ -505,48 +445,50 @@ _HANDLERS = {
 }
 
 
+def _parse(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]]):
+    """Parse argv; a config file is rebuilt into argv and parsed again."""
+    args = parser.parse_args(argv)
+    if args.command != "config":
+        return args
+    options = _read_config(args.path)
+    command = options.pop("command", None)
+    if command is None:
+        parser.error("config file must set command=...")
+    rebuilt = [command]
+    positional = ("p", "q", "r") if command in ("brieskorn-knot", "torus") else ()
+    for key in positional:
+        if key in options:
+            rebuilt.append(options.pop(key))
+    for key, value in options.items():
+        if command == "two-bridge" and key in ("p", "q"):
+            rebuilt.extend([f"-{key}", value])
+        else:
+            # the joined form keeps values with a leading dash intact
+            rebuilt.append("--" + key.replace("_", "-") + "=" + value)
+    if args.json:
+        rebuilt.append("--json")
+    return parser.parse_args(rebuilt)
+
+
+def _evaluate(args) -> Tuple[int, Dict]:
+    """Exit code and record of a parsed family command; errors become a record."""
+    try:
+        return 0, _HANDLERS[args.command](args)
+    except (DomainError, ValueError) as err:
+        return 1, {"error": type(err).__name__, "message": str(err)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "config":
-        options = _read_config(args.path)
-        command = options.pop("command", None)
-        if command is None:
-            parser.error("config file must set command=...")
-        rebuilt = [command]
-        positional = ("p", "q", "r") if command in ("brieskorn-knot", "torus") else ()
-        for key in positional:
-            if key in options:
-                rebuilt.append(options.pop(key))
-        for key, value in options.items():
-            if command == "two-bridge" and key in ("p", "q"):
-                rebuilt.extend([f"-{key}", value])
-            else:
-                # the joined form keeps values with a leading dash intact
-                rebuilt.append("--" + key.replace("_", "-") + "=" + value)
-        if args.json:
-            rebuilt.append("--json")
-        args = parser.parse_args(rebuilt)
-
+    args = _parse(parser, argv)
     if args.command == "regress":
-        return _cmd_regress(args)
-
-    handler = _HANDLERS[args.command]
-    try:
-        record = handler(args)
-    except DomainError as err:
-        payload = {"error": err.name, "message": str(err)}
-        if getattr(args, "json", False):
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"error: {err.name}: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    _print_record(record, getattr(args, "json", False))
-    return 0
+        return _cmd_regress(parser, args)
+    code, record = _evaluate(args)
+    if code and not args.json:
+        print(f"error: {record['error']}: {record['message']}", file=sys.stderr)
+    else:
+        _print_record(record, args.json)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .seifert import (
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    projective_su2_classes,
     reducible_characters,
 )
 from .signatures import two_bridge_signature, torus_signature
@@ -267,11 +266,11 @@ def torus_even_seifert_data(p: int, q: int) -> SeifertData:
 
 @dataclass(frozen=True)
 class TorusComplex:
-    """Certified total rank plus the conjectural rank vector for odd torus knots."""
+    """Certified total rank, conjectural rank vector and signature of an odd torus knot."""
 
     total_rank: int
     ranks: ChainRanks
-    special_grading: int = 0
+    signature: int
 
 
 def torus_complex(p: int, q: int) -> TorusComplex:
@@ -290,6 +289,7 @@ def torus_complex(p: int, q: int) -> TorusComplex:
     return TorusComplex(
         total_rank=1 + 4 * a,
         ranks=ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True),
+        signature=sign,
     )
 
 
@@ -298,13 +298,12 @@ class LinkComplex:
     """Rank data of a two-component Montesinos link complex.
 
     so3_classes is the number of SO(3) classes with nontrivial w2; each
-    contributes four generators.  When the linking number determines the
+    contributes four generators and lifts to two SU(2) classes.  When the linking number determines the
     split (n1, n3), candidates holds the single cyclic-canonical vector
     (2n1, 2n3, 2n1, 2n3); without it, one candidate per admissible split.
     """
 
     so3_classes: int
-    su2_classes: int
     candidates: Tuple[ChainRanks, ...]
     split: Optional[Tuple[int, int]]
     ambiguous: bool
@@ -314,6 +313,11 @@ class LinkComplex:
     @property
     def ranks(self) -> Optional[ChainRanks]:
         return self.candidates[0] if not self.ambiguous else None
+
+    @property
+    def su2_classes(self) -> int:
+        # enumerate_projective raises unless every orbit has two members
+        return 2 * self.so3_classes
 
     @property
     def total(self) -> int:
@@ -334,9 +338,7 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
             f"|H1| = {seifert_h1_order(s)}, expected a homology S^1 x S^2"
         )
     twist = canonical_twist(s)
-    so3 = enumerate_projective(s, twist)
-    su2 = projective_su2_classes(s, twist)
-    n = len(so3)
+    n = len(enumerate_projective(s, twist))
     notes = (
         "split fixed by the Euler-characteristic identity 4*(n1 - n3) = +-lk; "
         "the alternative identity n3 - n1 = +-lk conflicts with the worked "
@@ -353,7 +355,6 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         )
         return LinkComplex(
             so3_classes=n,
-            su2_classes=len(su2),
             candidates=candidates,
             split=None,
             ambiguous=True,
@@ -374,7 +375,6 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         warnings = ("split (n1, n3) is determined only up to interchange",)
     return LinkComplex(
         so3_classes=n,
-        su2_classes=len(su2),
         candidates=(ChainRanks(vec, CYCLIC),),
         split=(n1, n3),
         ambiguous=False,

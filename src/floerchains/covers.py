@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .arith import LaurentPoly
 
@@ -33,10 +33,6 @@ class SeifertData:
             if math.gcd(a, b) != 1:
                 raise ValueError(f"pair ({a}, {b}) is not coprime")
 
-    @classmethod
-    def of(cls, *pairs: Tuple[int, int] | Iterable[int]) -> "SeifertData":
-        return cls(tuple((a, b) for a, b in pairs))
-
     def euler_number(self) -> Fraction:
         return sum((Fraction(b, a) for a, b in self.pairs), Fraction(0))
 
@@ -47,13 +43,10 @@ class CoverHomology:
 
     b1: int
     h1_order: Optional[int]
-    cup_form_entry: Optional[int] = None
 
     def __post_init__(self):
         if (self.b1 == 1) != (self.h1_order is None):
             raise ValueError("b1 = 1 exactly when the order marker is infinite")
-        if self.cup_form_entry not in (None, 0, 1):
-            raise ValueError("cup form entry must be 0 or 1")
 
 
 def branched_cover_h1(delta: LaurentPoly) -> CoverHomology:

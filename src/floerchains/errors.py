@@ -1,16 +1,12 @@
 """Domain exceptions shared across the package.
 
-Every exception carries a stable class name that the CLI reports verbatim,
-so callers can dispatch on the name without parsing messages.
+The CLI reports each of these exceptions by its class name verbatim, so
+callers can dispatch on the name without parsing messages.
 """
 
 
 class DomainError(Exception):
     """Base class for contract violations in the topology pipelines."""
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
 
 
 class NotCoprimeError(DomainError):
@@ -19,10 +15,6 @@ class NotCoprimeError(DomainError):
 
 class NotNormalizedError(DomainError):
     """A Laurent polynomial fails the p(1) = 1 or p(t) = p(1/t) normalization."""
-
-
-class OddSignatureError(DomainError):
-    """A signature argument that must be even is odd."""
 
 
 class UnsupportedFiberCountError(DomainError):
@@ -43,10 +35,6 @@ class NotHomologyS1xS2Error(DomainError):
 
 class BadTwistMaskError(DomainError):
     """A relator sign mask is missing, multiple, or cohomologically trivial."""
-
-
-class NeedsExplicitSignatureError(DomainError):
-    """The knot family has no native signature routine; pass one explicitly."""
 
 
 class FlatCobordismError(DomainError):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import List
 
 from .arith import floor_sum, mod_inverse
-from .errors import OddSignatureError
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,3 @@ def index_plus_one(rep: LensRep) -> int:
         raise ArithmeticError(f"odd index datum {total} for {rep}")
     return total % 8
 
-
-def morse_bott_index(rep: LensRep, sign_k: int) -> int:
-    """Mod-4 Morse-Bott index of the circle attached to rep.
-
-    Half of the mod-8 index datum, shifted by the (even) knot signature.
-    """
-    if sign_k % 2:
-        raise OddSignatureError(f"knot signature must be even, got {sign_k}")
-    counts = lattice_counts(rep)
-    total = 2 * counts.n1 + counts.n2
-    return (total // 2 + sign_k) % 4

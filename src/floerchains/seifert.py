@@ -36,10 +36,6 @@ from .errors import (
     UnsupportedFiberCountError,
 )
 
-IRREDUCIBLE = "irreducible"
-REDUCIBLE = "reducible-nontrivial"
-TRIVIAL = "trivial"
-
 
 @dataclass(frozen=True)
 class RotationRep:
@@ -47,7 +43,6 @@ class RotationRep:
 
     m: int
     ells: Tuple[int, ...]
-    kind: str = IRREDUCIBLE
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def enumerate_irreducibles(s: SeifertData) -> List[RotationRep]:
     reps = []
     for m in (0, 1):
         for ells in _rotation_sweep(reduced.pairs, m, (0, 0, 0)):
-            reps.append(RotationRep(m=m, ells=ells, kind=IRREDUCIBLE))
+            reps.append(RotationRep(m=m, ells=ells))
     return reps
 
 
@@ -323,7 +318,7 @@ def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
             raise ArithmeticError(f"sign action is not free at {cls}")
         remaining.remove(cls)
         remaining.discard(other)
-        orbits.append(RotationRep(m=cls[0], ells=cls[1], kind=IRREDUCIBLE))
+        orbits.append(RotationRep(m=cls[0], ells=cls[1]))
     return sorted(orbits, key=lambda rep: (rep.m, rep.ells))
 
 

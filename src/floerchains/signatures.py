@@ -13,72 +13,9 @@ grading; it is pinned anyway so the integer outputs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
 
 from .arith import floor_sum
-from .covers import SeifertData
-from .errors import NeedsExplicitSignatureError, NotCoprimeError, OddSignatureError
-
-
-@dataclass(frozen=True)
-class TwoBridge:
-    """Two-bridge knot of type -p/q: p odd > 1 (p = 1 is the unknot)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.p % 2 == 0:
-            raise ValueError(f"p must be odd and positive, got {self.p}")
-        if self.p > 1 and math.gcd(self.p, self.q) != 1:
-            raise NotCoprimeError(f"gcd({self.p}, {self.q}) != 1")
-
-
-@dataclass(frozen=True)
-class Torus:
-    """Torus knot on coprime strand counts p, q >= 2."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise ValueError(f"torus parameters must be >= 2, got ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise NotCoprimeError(f"gcd({self.p}, {self.q}) != 1")
-
-
-@dataclass(frozen=True)
-class Pretzel:
-    """Pretzel knot P(e1, e2, e3); signature must be supplied explicitly."""
-
-    e1: int
-    e2: int
-    e3: int
-    signature: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Montesinos:
-    """Montesinos knot given by Seifert pairs; signature supplied explicitly."""
-
-    data: SeifertData
-    signature: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ExplicitSignature:
-    """A knot known only through its (even) signature."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value % 2:
-            raise OddSignatureError(f"knot signatures are even, got {self.value}")
-
-
-KnotSpec = Union[TwoBridge, Torus, Pretzel, Montesinos, ExplicitSignature]
+from .errors import NotCoprimeError
 
 
 def two_bridge_signature(p: int, q: int) -> int:
@@ -131,26 +68,3 @@ def torus_signature(p: int, q: int) -> int:
     assert total % 2 == 0
     return total
 
-
-def signature_mod4(knot: KnotSpec) -> int:
-    """Mod-4 signature residue of a knot specification.
-
-    Two-bridge and torus families are computed natively.  Pretzel and
-    Montesinos specifications must carry an explicit signature, since no
-    general diagrammatic signature routine is in scope.
-    """
-    if isinstance(knot, TwoBridge):
-        return two_bridge_signature(knot.p, knot.q) % 4
-    if isinstance(knot, Torus):
-        return torus_signature(knot.p, knot.q) % 4
-    if isinstance(knot, ExplicitSignature):
-        return knot.value % 4
-    if isinstance(knot, (Pretzel, Montesinos)):
-        if knot.signature is None:
-            raise NeedsExplicitSignatureError(
-                f"{type(knot).__name__} has no native signature routine"
-            )
-        if knot.signature % 2:
-            raise OddSignatureError(f"knot signatures are even, got {knot.signature}")
-        return knot.signature % 4
-    raise TypeError(f"unsupported knot specification {knot!r}")

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,14 +8,41 @@ from pathlib import Path
 import pytest
 
 import floerchains
-from floerchains.cli import main, parse_alexander, parse_pairs
+from floerchains import cli, complexes, seifert, signatures
+from floerchains.cli import _record, main, parse_alexander, parse_pairs
+from floerchains.complexes import ChainRanks, GeneratorEntry, GradedGenerators
 from floerchains.signatures import torus_signature
+
+GOLDEN = cli._golden_cases()
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_module(*args, timeout):
+    """Run ``python <args>`` with this checkout's package on the path."""
+    src = Path(floerchains.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def count_calls(monkeypatch, bindings):
+    """Wrap every (module, name) binding of one function with a shared call list."""
+    calls = []
+    for module, name in bindings:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestParsing:
@@ -64,16 +92,28 @@ class TestTwoBridgeCommand:
         payload = json.loads(out)
         assert payload["error"] == "NotCoprimeError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["two-bridge", "-p", "4", "-q", "1"],
+            ["montesinos-knot", "--pairs", "2,x", "--signature=0"],
+            ["homology"],
+        ],
+        ids=" ".join,
+    )
+    def test_input_error_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValueError"
+        assert payload["message"]
+        assert err == ""
+
     def test_large_pair_finishes(self):
         # dense elimination on the Goeritz form is cubic in p at q = p - 1
         # and runs far past the timeout at this size
-        src = Path(floerchains.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
         argv = ["two-bridge", "-p", "10001", "-q", "10000", "--json"]
-        done = subprocess.run(
-            [sys.executable, "-m", "floerchains.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_module("-m", "floerchains.cli", *argv, timeout=60)
         assert done.returncode == 0, done.stderr
         record = json.loads(done.stdout)
         assert record["ranks"] == [2501, 2500, 2500, 2500]
@@ -235,18 +275,69 @@ class TestEveryCommand:
             assert key in record
 
 
+class TestRecord:
+    def test_rejects_ranks_that_miss_generators(self):
+        gens = GradedGenerators((GeneratorEntry(0, 1, "special"),))
+        with pytest.raises(ArithmeticError):
+            _record({}, generators=gens, ranks=ChainRanks((1, 1, 0, 0)))
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["name"])
+    def test_json_matches_golden_record(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"], "--json")
+        assert code == 0
+        assert out == json.dumps(case["record"], indent=2, sort_keys=True) + "\n"
+
+
 class TestRegress:
     def test_full_corpus_passes(self, capsys):
         code, out, _ = run(capsys, "regress")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("[PASS]") >= 10
+        assert out.count("[PASS]") == len(GOLDEN) + 1
 
     def test_filter(self, capsys):
         code, out, _ = run(capsys, "regress", "--filter", "two-bridge")
         assert code == 0
         assert "[PASS] two-bridge figure-eight" in out
+        assert "[PASS] two-bridge euler sweep" in out
         assert "brieskorn" not in out
+
+    def test_reports_a_changed_record(self, capsys, monkeypatch):
+        case = copy.deepcopy(GOLDEN[0])
+        case["record"]["ranks"] = [0, 0, 0, 0]
+        monkeypatch.setattr(cli, "_golden_cases", lambda: [case])
+        code, out, _ = run(capsys, "regress", "--filter", case["name"], "--verbose")
+        assert code == 1
+        assert f"[FAIL] {case['name']}" in out
+        assert "ranks: expected [0, 0, 0, 0]" in out
+        assert "generators:" not in out
+
+    def test_passes_under_optimize(self):
+        done = run_module("-O", "-m", "floerchains.cli", "regress", timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+
+class TestWorkPerRecord:
+    """Each record computes each invariant once."""
+
+    def test_brieskorn_sweeps_once_per_central_sign(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, [(seifert, "_rotation_sweep")])
+        assert run(capsys, "brieskorn-knot", "2", "3", "7", "--json")[0] == 0
+        assert len(calls) == 2
+
+    def test_link_sweeps_once_per_central_sign(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, [(seifert, "_rotation_sweep")])
+        argv = ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--json"]
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 2
+
+    def test_odd_torus_signature_once(self, capsys, monkeypatch):
+        bindings = [(signatures, "torus_signature"), (complexes, "torus_signature")]
+        calls = count_calls(monkeypatch, bindings)
+        assert run(capsys, "torus", "3", "5", "--json")[0] == 0
+        assert len(calls) == 1
 
 
 class TestConfigMode:

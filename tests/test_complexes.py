@@ -118,7 +118,7 @@ class TestTorusComplex:
         assert result.total_rank == 9
         assert result.ranks.r == (3, 2, 2, 2)
         assert result.ranks.conjectural
-        assert result.special_grading == 0
+        assert result.signature == torus_signature(3, 5)
 
     def test_3_7(self):
         result = torus_complex(3, 7)

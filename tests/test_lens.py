@@ -4,15 +4,15 @@ import random
 import pytest
 
 from floerchains.arith import mod_inverse
-from floerchains.errors import OddSignatureError
+from floerchains.complexes import two_bridge_generators
 from floerchains.lens import (
     LatticeCounts,
     LensRep,
     index_plus_one,
     lattice_counts,
     lens_reps,
-    morse_bott_index,
 )
+from floerchains.signatures import two_bridge_signature
 
 
 def naive_counts(rep):
@@ -137,11 +137,18 @@ class TestIndexPlusOne:
 
 
 class TestMorseBottIndex:
-    def test_pinned_values(self):
-        assert morse_bott_index(LensRep(5, 2, 1), 0) == 1
-        assert morse_bott_index(LensRep(5, 2, 2), 0) == 2
-        assert morse_bott_index(LensRep(3, 2, 1), 0) == 1
+    @staticmethod
+    def unshifted_index(p, q_param, ell):
+        """Lower grading of the ell circle of L(p, q_param), less the signature."""
+        q = mod_inverse(q_param, p)
+        mu = next(
+            e.grading
+            for e in two_bridge_generators(p, q).entries
+            if e.origin == "reducible" and e.class_id == ell
+        )
+        return (mu - two_bridge_signature(p, q)) % 4
 
-    def test_rejects_odd_signature(self):
-        with pytest.raises(OddSignatureError):
-            morse_bott_index(LensRep(5, 2, 1), 3)
+    def test_pinned_values(self):
+        assert self.unshifted_index(5, 2, 1) == 1
+        assert self.unshifted_index(5, 2, 2) == 2
+        assert self.unshifted_index(3, 2, 1) == 1

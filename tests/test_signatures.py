@@ -4,18 +4,8 @@ import random
 import pytest
 
 from floerchains.arith import even_continued_fraction, signature
-from floerchains.covers import SeifertData
-from floerchains.errors import NeedsExplicitSignatureError, NotCoprimeError
-from floerchains.signatures import (
-    ExplicitSignature,
-    Montesinos,
-    Pretzel,
-    Torus,
-    TwoBridge,
-    signature_mod4,
-    torus_signature,
-    two_bridge_signature,
-)
+from floerchains.errors import NotCoprimeError
+from floerchains.signatures import torus_signature, two_bridge_signature
 
 
 def brick_seifert_matrix(p, q):
@@ -190,20 +180,3 @@ class TestTorusSignature:
         with pytest.raises(NotCoprimeError):
             torus_signature(4, 6)
 
-
-class TestSignatureMod4:
-    def test_dispatch(self):
-        assert signature_mod4(TwoBridge(5, 3)) == 0
-        assert signature_mod4(Torus(3, 4)) == 2
-        assert signature_mod4(Pretzel(-2, 3, 3, signature=-6)) == 2
-        assert signature_mod4(ExplicitSignature(-6)) == 2
-
-    def test_montesinos_with_signature(self):
-        data = SeifertData(((2, -1), (3, 1), (3, 1)))
-        assert signature_mod4(Montesinos(data, signature=-6)) == 2
-
-    def test_needs_explicit(self):
-        with pytest.raises(NeedsExplicitSignatureError):
-            signature_mod4(Pretzel(-2, 3, 7))
-        with pytest.raises(NeedsExplicitSignatureError):
-            signature_mod4(Montesinos(SeifertData(((2, -1), (3, 1), (3, 1)))))
