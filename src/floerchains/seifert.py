@@ -13,7 +13,8 @@ exactly the existence-and-rigidity criterion for an irreducible triple
 with prescribed conjugacy classes.  Twisting a relator by a sign flips the
 corresponding parity and enumerates projective classes instead.
 
-All angle comparisons are exact rational comparisons of ell_i / a_i.
+All angle comparisons are exact integer comparisons: the angles
+ell_i / a_i are scaled by a_1 * a_2 before they are compared.
 """
 
 from __future__ import annotations
@@ -81,22 +82,36 @@ def _exceptional_triple(s: SeifertData) -> SeifertData:
     return reduced
 
 
-def _triangle_strict(f1: Fraction, f2: Fraction, f3: Fraction) -> bool:
-    """Strict spherical triangle condition on angles pi*f1, pi*f2, pi*f3."""
-    return abs(f1 - f2) < f3 < min(f1 + f2, 2 - f1 - f2)
-
-
 def _rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Rotation-number tuples for central sign (-1)^m and given relator parities."""
-    ranges = []
-    for (a, b), t in zip(pairs, parity_shift):
-        want = (m * b + t) % 2
-        ranges.append([ell for ell in range(1, a) if ell % 2 == want])
+    """Rotation-number tuples for central sign (-1)^m and given relator parities.
+
+    Each ell_i runs over 0 < ell_i < a_i with ell_i = m*b_i + t_i (mod 2),
+    and the tuple must satisfy the strict spherical triangle condition
+    |f1 - f2| < f3 < min(f1 + f2, 2 - f1 - f2) on f_i = ell_i / a_i.  For
+    fixed (ell_1, ell_2) put d = a_1*a_2, x_1 = ell_1*a_2, x_2 = ell_2*a_1
+    and s = x_1 + x_2; the condition then holds exactly for ell_3 in
+
+        floor(a_3*|x_1 - x_2| / d) + 1 <= ell_3 <= floor((a_3*min(s, 2d - s) - 1) / d),
+
+    a range inside [1, a_3 - 1] that is emitted directly with the required
+    parity.  Tuples come in lexicographic order, and the cost is
+    O(a_1*a_2 + output) instead of O(a_1*a_2*a_3).
+    """
+    (a1, b1), (a2, b2), (a3, b3) = pairs
+    t1, t2, t3 = parity_shift
+    want3 = (m * b3 + t3) % 2
+    d = a1 * a2
     out = []
-    for ells in itertools.product(*ranges):
-        fractions = [Fraction(ell, a) for ell, (a, _) in zip(ells, pairs)]
-        if _triangle_strict(*fractions):
-            out.append(ells)
+    for ell1 in range(2 - (m * b1 + t1) % 2, a1, 2):
+        x1 = ell1 * a2
+        for ell2 in range(2 - (m * b2 + t2) % 2, a2, 2):
+            x2 = ell2 * a1
+            s = x1 + x2
+            lo = a3 * abs(x1 - x2) // d + 1
+            hi = (a3 * min(s, 2 * d - s) - 1) // d
+            lo += (lo - want3) % 2
+            for ell3 in range(lo, hi + 1, 2):
+                out.append((ell1, ell2, ell3))
     return out
 
 
@@ -134,7 +149,8 @@ def casson(p: int, q: int, r: int) -> int:
         return 0
     data = brieskorn_seifert_data(p, q, r)
     count = len(enumerate_irreducibles(data))
-    assert count % 2 == 0
+    if count % 2:
+        raise ArithmeticError(f"odd irreducible count {count} for ({p}, {q}, {r})")
     return -count // 2
 
 
@@ -144,7 +160,8 @@ def brieskorn_seifert_data(p: int, q: int, r: int) -> SeifertData:
     b1 = (-mod_inverse(qr % p, p)) % p if p > 1 else 0
     b2 = (-mod_inverse(pr % q, q)) % q if q > 1 else 0
     rem = -1 - b1 * qr - b2 * pr
-    assert rem % pq == 0
+    if rem % pq:
+        raise ArithmeticError(f"Euler number -1/{p * q * r} has no integral third pair")
     return SeifertData(((p, b1), (q, b2), (r, rem // pq)))
 
 
@@ -187,7 +204,8 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
     n = len(pairs)
     _, d, v = smith_normal_form(_h1_presentation(pairs))
     diag = [d[j][j] for j in range(n + 1)]
-    assert math.prod(diag) == order
+    if math.prod(diag) != order:
+        raise ArithmeticError(f"Smith diagonal {diag} does not multiply to |H1| = {order}")
     if any(v[n][j] % diag[j] for j in range(n + 1)):
         raise FlatCobordismError(
             "central fiber class survives in H1; characters do not extend flatly"
@@ -205,7 +223,8 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
             )
             values.append(val - math.floor(val))
         values = tuple(values)
-        assert values[n] == 0
+        if values[n]:
+            raise ArithmeticError(f"character {combo} is nontrivial on h")
         inverse = tuple((-w) % 1 if w else Fraction(0) for w in values)
         key = min(values, inverse)
         if key in seen:
@@ -214,11 +233,13 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
         ells = []
         for (a, _), w in zip(pairs, values[:n]):
             scaled = w * a
-            assert scaled.denominator == 1
+            if scaled.denominator != 1:
+                raise ArithmeticError(f"character value {w} is not in (1/{a})Z")
             k = int(scaled) % a
             ells.append(min(k, a - k))
         classes.append(ReducibleClass(ells=tuple(ells), values=values[:n]))
-    assert len(classes) == (order - 1) // 2
+    if len(classes) != (order - 1) // 2:
+        raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes
 
 
@@ -309,17 +330,20 @@ def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
         )
         return ((m + chi[n]) % 2, flipped)
 
+    # one sorted pass: each orbit is named by its smaller member, so the
+    # orbits come out in (m, ells) order
     remaining = set(su2)
     orbits = []
-    while remaining:
-        cls = min(remaining)
+    for cls in sorted(remaining):
+        if cls not in remaining:
+            continue
         other = partner(cls)
         if other == cls or other not in remaining:
             raise ArithmeticError(f"sign action is not free at {cls}")
         remaining.remove(cls)
         remaining.discard(other)
         orbits.append(RotationRep(m=cls[0], ells=cls[1]))
-    return sorted(orbits, key=lambda rep: (rep.m, rep.ells))
+    return orbits
 
 
 def canonical_twist(s: SeifertData) -> TwistMask:

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from floerchains import seifert
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
     BadTwistMaskError,
@@ -14,8 +17,13 @@ from floerchains.errors import (
     UnsupportedFiberCountError,
 )
 from floerchains.seifert import (
+    RotationRep,
     TwistMask,
+    _exceptional_triple,
+    _mod2_solutions,
+    _rotation_sweep,
     absorb_trivial_fibers,
+    brieskorn_seifert_data,
     canonical_twist,
     casson,
     enumerate_irreducibles,
@@ -38,6 +46,67 @@ def random_triple(rng, amax=7):
         a = rng.randint(2, amax)
         pairs.append((a, random_coprime(rng, a)))
     return SeifertData(tuple(pairs))
+
+
+def triangle_strict(f1, f2, f3):
+    """Strict spherical triangle condition on angles pi*f1, pi*f2, pi*f3."""
+    return abs(f1 - f2) < f3 < min(f1 + f2, 2 - f1 - f2)
+
+
+def fraction_sweep(pairs, m, parity_shift):
+    """Reference rotation sweep: every tuple of the parity grid, tested with Fractions."""
+    ranges = []
+    for (a, b), t in zip(pairs, parity_shift):
+        want = (m * b + t) % 2
+        ranges.append([ell for ell in range(1, a) if ell % 2 == want])
+    out = []
+    for ells in itertools.product(*ranges):
+        fractions = [Fraction(ell, a) for ell, (a, _) in zip(ells, pairs)]
+        if triangle_strict(*fractions):
+            out.append(ells)
+    return out
+
+
+def min_remaining_orbits(s, twist):
+    """Reference orbit pairing: repeatedly take the least unpaired class."""
+    su2 = projective_su2_classes(s, twist)
+    pairs = _exceptional_triple(s).pairs
+    (chi,) = [c for c in _mod2_solutions(pairs, (0, 0, 0)) if any(c)]
+
+    def partner(cls):
+        m, ells = cls
+        flipped = tuple(pairs[i][0] - ell if chi[i] else ell for i, ell in enumerate(ells))
+        return ((m + chi[3]) % 2, flipped)
+
+    remaining = set(su2)
+    orbits = []
+    while remaining:
+        cls = min(remaining)
+        other = partner(cls)
+        if other == cls or other not in remaining:
+            raise ArithmeticError(f"sign action is not free at {cls}")
+        remaining.remove(cls)
+        remaining.discard(other)
+        orbits.append(RotationRep(m=cls[0], ells=cls[1]))
+    return sorted(orbits, key=lambda rep: (rep.m, rep.ells))
+
+
+def random_link_triple(rng, amax=24, product_max=6000):
+    """Three fibers with e = 0 and a1*a2*a3 <= product_max whose cover is a
+    two-component link cover."""
+    while True:
+        a1, a2 = rng.randint(2, amax), rng.randint(2, amax)
+        b1, b2 = random_coprime(rng, a1), random_coprime(rng, a2)
+        third = -(Fraction(b1, a1) + Fraction(b2, a2))
+        if not 2 <= third.denominator <= product_max // (a1 * a2):
+            continue
+        data = SeifertData(((a1, b1), (a2, b2), (third.denominator, third.numerator)))
+        if len([c for c in _mod2_solutions(data.pairs, (0, 0, 0)) if any(c)]) != 1:
+            continue
+        try:
+            return data, canonical_twist(data)
+        except BadTwistMaskError:
+            continue
 
 
 class TestEnumerateIrreducibles:
@@ -96,6 +165,12 @@ class TestCasson:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             casson(2, 4, 5)
+
+    def test_odd_count_raises(self, monkeypatch):
+        reps = [RotationRep(m=1, ells=(1, 1, 2 * k)) for k in (1, 2, 3)]
+        monkeypatch.setattr(seifert, "enumerate_irreducibles", lambda data: reps)
+        with pytest.raises(ArithmeticError):
+            casson(2, 3, 7)
 
 
 class TestEnumerateReducibles:
@@ -191,6 +266,14 @@ class TestProjective:
         assert counts == [1, 1]
         assert rejected == 1
 
+    def test_unpaired_class_raises(self, monkeypatch):
+        data = SeifertData(((2, 1), (5, -2), (10, -1)))
+        twist = canonical_twist(data)
+        su2 = projective_su2_classes(data, twist)
+        monkeypatch.setattr(seifert, "projective_su2_classes", lambda s, t: su2[1:])
+        with pytest.raises(ArithmeticError, match="not free"):
+            enumerate_projective(data, twist)
+
     def test_canonical_twist_hits_largest_fiber(self):
         assert canonical_twist(SeifertData(((2, 1), (3, -1), (6, -1)))).signs == (1, 1, -1)
         assert canonical_twist(SeifertData(((10, -1), (2, 1), (5, -2)))).signs == (-1, 1, 1)
@@ -250,3 +333,44 @@ class TestOracleEquivalence:
                     data = SeifertData(pairs)
                     mine = len(enumerate_irreducibles(data))
                     assert mine == seifert_su2_count(pairs), pairs
+
+
+class TestRotationSweepOracle:
+    """The integer interval sweep against the Fraction sweep, list order included."""
+
+    SHIFTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_all_small_triples(self):
+        # the sweep sees b_i and t_i only through m*b_i + t_i (mod 2), so the
+        # reference runs once per parity vector
+        reference = {}
+        for a1, a2, a3 in itertools.product(range(2, 14), repeat=3):
+            for b, m, shift in itertools.product((0, 1), (0, 1), self.SHIFTS):
+                pairs = ((a1, b), (a2, b), (a3, b))
+                key = (a1, a2, a3) + tuple((m * b + t) % 2 for t in shift)
+                if key not in reference:
+                    reference[key] = fraction_sweep(pairs, m, shift)
+                assert _rotation_sweep(pairs, m, shift) == reference[key], (pairs, m, shift)
+
+    def test_workload_sized_triples(self):
+        rng = random.Random(17)
+        cases = []
+        while len(cases) < 20:
+            p = rng.randint(2, 5)
+            q = rng.randint(p + 1, 40)
+            r = rng.randint(q + 1, 6000 // (p * q) + q + 1)
+            if p * q * r <= 6000 and all(math.gcd(x, y) == 1 for x, y in ((p, q), (p, r), (q, r))):
+                cases.append(brieskorn_seifert_data(p, q, r).pairs)
+        while len(cases) < 40:
+            pairs = tuple((a, random_coprime(rng, a)) for a in (rng.randint(2, 40) for _ in range(3)))
+            if math.prod(a for a, _ in pairs) <= 6000:
+                cases.append(pairs)
+        for pairs in cases:
+            for m, shift in itertools.product((0, 1), self.SHIFTS):
+                assert _rotation_sweep(pairs, m, shift) == fraction_sweep(pairs, m, shift), (pairs, m, shift)
+
+    def test_pairing_matches_min_remaining_loop(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            data, twist = random_link_triple(rng)
+            assert enumerate_projective(data, twist) == min_remaining_orbits(data, twist), data
