@@ -2,18 +2,21 @@
 
 Subcommands mirror the supported families.  Every input takes one path:
 parse (a ``config`` file is rebuilt into argv and parsed again), then the
-family's handler, which builds the record with ``_record``.  A run prints
-either a human-readable table or a single JSON object with the stable
-fields input, generators, ranks, anchoring, conjectural, warnings (plus
-notes and extras).  ``regress`` replays the golden records shipped in
-``golden.jsonl`` through the same path and diffs each whole record.
-Exit codes: 0 success, 1 domain or input error (a JSON object with the
-error name under --json), 2 usage error.
+family's handler, which builds the record with ``_record``.  Parsing uses
+the process's one parser, built by the first ``build_parser`` call and
+shared by every later one; callers must not mutate it.  A run prints a
+human-readable table or one JSON object with the stable fields input,
+generators, ranks, anchoring, conjectural, warnings (plus notes and
+extras).  ``regress`` replays the golden records of ``golden.jsonl``
+through the same path and diffs each whole record.  Exit codes: 0
+success, 1 domain or input error (a JSON object with the error name under
+--json), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -312,9 +315,9 @@ def _golden_cases() -> List[Dict]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def _golden_diff(parser: argparse.ArgumentParser, case: Dict) -> List[str]:
+def _golden_diff(case: Dict) -> List[str]:
     """One line per top-level key where the replayed record differs from the golden one."""
-    _, actual = _evaluate(_parse(parser, case["argv"]))
+    _, actual = _evaluate(_parse(case["argv"]))
     actual = json.loads(json.dumps(actual))  # as --json would print it
     expected = case["record"]
     return [
@@ -324,26 +327,23 @@ def _golden_diff(parser: argparse.ArgumentParser, case: Dict) -> List[str]:
     ]
 
 
-def _euler_sweep_failures(parser: argparse.ArgumentParser) -> List[str]:
+def _euler_sweep_failures() -> List[str]:
     """Two-bridge records with p <= 45 whose Euler number is not 1 or total rank not p."""
     bad = []
     for p in range(3, 46, 2):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
-            _, record = _evaluate(_parse(parser, ["two-bridge", "-p", str(p), "-q", str(q)]))
+            _, record = _evaluate(_parse(["two-bridge", "-p", str(p), "-q", str(q)]))
             extras = record.get("extras", {})
             if extras.get("euler_characteristic") != 1 or extras.get("total_rank") != p:
                 bad.append(f"({p}, {q}): {extras or record}")
     return bad
 
 
-def _cmd_regress(parser: argparse.ArgumentParser, args) -> int:
-    checks = [
-        (case["name"], lambda case=case: _golden_diff(parser, case))
-        for case in _golden_cases()
-    ]
-    checks.append(("two-bridge euler sweep", lambda: _euler_sweep_failures(parser)))
+def _cmd_regress(args) -> int:
+    checks = [(case["name"], functools.partial(_golden_diff, case)) for case in _golden_cases()]
+    checks.append(("two-bridge euler sweep", _euler_sweep_failures))
     failures = 0
     for name, check in checks:
         if args.filter and args.filter not in name:
@@ -370,7 +370,13 @@ def _read_config(path: str) -> Dict[str, str]:
     return options
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared after it.
+
+    Each parse fills a fresh namespace and no argument has a mutable default,
+    so reuse carries nothing between inputs.  Callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="floerchains",
         description=(
@@ -380,19 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON record")
-
     p = sub.add_parser("two-bridge", help="two-bridge knot of type -p/q")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
-    add_json(p)
 
     p = sub.add_parser("brieskorn-knot", help="Montesinos knot over a Brieskorn sphere")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
-    add_json(p)
 
     p = sub.add_parser("montesinos-knot", help="general three-fiber Montesinos knot")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
@@ -401,13 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--irreducible-block",
         help='external grading pin "g0,g1,g2,g3" for the irreducible generators',
     )
-    add_json(p)
 
     p = sub.add_parser("torus", help="torus knot")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--irreducible-block", help="grading pin for the even-q route")
-    add_json(p)
 
     p = sub.add_parser("montesinos-link", help="two-component Montesinos link")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
@@ -416,13 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--alexander",
         help='surgery-knot Alexander polynomial "exp:coeff,..." for cross-validation',
     )
-    add_json(p)
 
     p = sub.add_parser("homology", help="double-branched-cover homology data")
     p.add_argument("--alexander", help='branch-set Alexander polynomial "exp:coeff,..."')
     p.add_argument("--pairs", help="Seifert pairs of the cover")
     p.add_argument("--lk", type=int, help="linking number for the cup form")
-    add_json(p)
 
     p = sub.add_parser("regress", help="run the built-in regression corpus")
     p.add_argument("--filter", help="only run cases whose name contains this string")
@@ -430,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("config", help="run a command described by a key=value file")
     p.add_argument("path")
-    add_json(p)
 
+    for name, p in sub.choices.items():
+        if name != "regress":
+            p.add_argument("--json", action="store_true", help="emit a JSON record")
     return parser
 
 
@@ -445,8 +444,9 @@ _HANDLERS = {
 }
 
 
-def _parse(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]]):
+def _parse(argv: Optional[Sequence[str]]):
     """Parse argv; a config file is rebuilt into argv and parsed again."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "config":
         return args
@@ -479,10 +479,9 @@ def _evaluate(args) -> Tuple[int, Dict]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = _parse(parser, argv)
+    args = _parse(argv)
     if args.command == "regress":
-        return _cmd_regress(parser, args)
+        return _cmd_regress(args)
     code, record = _evaluate(args)
     if code and not args.json:
         print(f"error: {record['error']}: {record['message']}", file=sys.stderr)

@@ -141,7 +141,8 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
 def two_bridge_complex(p: int, q: int) -> ChainRanks:
     """Chain ranks of the two-bridge complex; total rank p, Euler number +1."""
     ranks = two_bridge_generators(p, q).ranks()
-    assert ranks is not None
+    if ranks is None:
+        raise ArithmeticError(f"two-bridge generators of ({p}, {q}) have an unknown grading")
     return ranks
 
 
@@ -257,7 +258,8 @@ def torus_even_seifert_data(p: int, q: int) -> SeifertData:
         raise ValueError("q = 2 covers are lens spaces; use the two-bridge route")
     b2 = mod_inverse((2 * r) % p, p)
     rem = 1 - 2 * b2 * r
-    assert rem % p == 0
+    if rem % p:
+        raise ArithmeticError(f"1 - 2*{b2}*{r} is not divisible by p = {p}")
     s = rem // p
     b3 = s % r
     b1 = (s - b3) // r
@@ -390,7 +392,8 @@ def casson_from_alexander(delta: LaurentPoly) -> int:
     symmetric polynomial.
     """
     second = second_derivative_at_one(delta)
-    assert second % 2 == 0
+    if second % 2:
+        raise ArithmeticError(f"odd second derivative {second} at t = 1")
     return -second // 2
 
 
@@ -423,17 +426,20 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
         out = [0] * (len(num) - len(den) + 1)
         for k in range(len(out) - 1, -1, -1):
             c = num[k + len(den) - 1]
-            assert c % den[-1] == 0
+            if c % den[-1]:
+                raise ArithmeticError(f"coefficient {c} is not divisible by {den[-1]}")
             f = c // den[-1]
             out[k] = f
             for i, d in enumerate(den):
                 num[k + i] -= f * d
-        assert all(x == 0 for x in num)
+        if any(num):
+            raise ArithmeticError(f"nonzero remainder {num} in exact division")
         return out
 
     numerator = poly_mul(cyclic(p * q), cyclic(1))
     quotient = poly_div(poly_div(numerator, cyclic(p)), cyclic(q))
     genus_shift = (p - 1) * (q - 1) // 2
     delta = LaurentPoly(enumerate(quotient)).shift(-genus_shift)
-    assert delta(1) == 1 and delta.is_symmetric()
+    if delta(1) != 1 or not delta.is_symmetric():
+        raise ArithmeticError(f"torus Alexander polynomial of ({p}, {q}) is not normalized")
     return delta

@@ -80,5 +80,6 @@ def seifert_h1_order(s: SeifertData) -> int:
     total = s.euler_number()
     for a, _ in s.pairs:
         total *= a
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"|H1| = {total} is not an integer")
     return abs(int(total))

@@ -65,6 +65,7 @@ def torus_signature(p: int, q: int) -> int:
                 total -= 1
             elif u != lo and u != hi:
                 total += 1
-    assert total % 2 == 0
+    if total % 2:
+        raise ArithmeticError(f"odd signature {total} for ({p}, {q})")
     return total
 

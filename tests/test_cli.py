@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -290,6 +291,29 @@ class TestGolden:
         assert out == json.dumps(case["record"], indent=2, sort_keys=True) + "\n"
 
 
+class TestParserReuse:
+    """The process's one parser carries nothing from one call to the next."""
+
+    def test_replay_leaks_no_state(self, capsys):
+        by_name = {case["name"]: case for case in GOLDEN}
+        pinned = by_name["torus (3,4) via seifert route"]
+        bare = by_name["torus (3,4) via seifert route unpinned"]
+        assert pinned["argv"] == bare["argv"] + ["--irreducible-block", "2,0,0,2"]
+        for case in GOLDEN + GOLDEN[::-1]:
+            with pytest.raises(SystemExit) as err:
+                main(["two-bridge", "-p", "5"])
+            assert err.value.code == 2
+            code, out, _ = run(capsys, *case["argv"])
+            assert code == 0 and not out.startswith("{")
+            code, out, _ = run(capsys, *case["argv"], "--json")
+            assert code == 0
+            assert out == json.dumps(case["record"], indent=2, sort_keys=True) + "\n"
+        for case in (pinned, bare):
+            code, out, _ = run(capsys, *case["argv"], "--json")
+            assert code == 0
+            assert out == json.dumps(case["record"], indent=2, sort_keys=True) + "\n"
+
+
 class TestRegress:
     def test_full_corpus_passes(self, capsys):
         code, out, _ = run(capsys, "regress")
@@ -338,6 +362,13 @@ class TestWorkPerRecord:
         calls = count_calls(monkeypatch, bindings)
         assert run(capsys, "torus", "3", "5", "--json")[0] == 0
         assert len(calls) == 1
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0
+        calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "__init__")])
+        for p in range(3, 103, 2):
+            assert run(capsys, "two-bridge", "-p", str(p), "-q", "1", "--json")[0] == 0
+        assert len(calls) == 0
 
 
 class TestConfigMode:

@@ -1,10 +1,13 @@
 import pytest
 
+from floerchains import complexes
 from floerchains.arith import LaurentPoly
 from floerchains.complexes import (
     ABSOLUTE,
     CYCLIC,
     ChainRanks,
+    GeneratorEntry,
+    GradedGenerators,
     casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
@@ -49,6 +52,12 @@ class TestTwoBridgeComplex:
         assert sum(1 for e in gens.entries if e.origin == "special") == 1
         circle_ids = {e.class_id for e in gens.entries if e.origin == "reducible"}
         assert circle_ids == {1, 2}
+
+    def test_unknown_grading_raises(self, monkeypatch):
+        gens = GradedGenerators((GeneratorEntry(None, 1, "special"),))
+        monkeypatch.setattr(complexes, "two_bridge_generators", lambda p, q: gens)
+        with pytest.raises(ArithmeticError):
+            two_bridge_complex(5, 3)
 
 
 class TestSpecialMontesinos:
@@ -139,6 +148,11 @@ class TestTorusComplex:
         with pytest.raises(ValueError):
             torus_complex(3, 4)
 
+    def test_wrong_inverse_raises(self, monkeypatch):
+        monkeypatch.setattr(complexes, "mod_inverse", lambda a, m: 0)
+        with pytest.raises(ArithmeticError):
+            torus_even_seifert_data(3, 4)
+
 
 class TestMontesinosLinkComplex:
     def test_pretzel_2_m3_m6(self):
@@ -211,6 +225,16 @@ class TestAlexanderRoutes:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             torus_alexander(4, 6)
+
+    def test_odd_second_derivative_raises(self, monkeypatch):
+        monkeypatch.setattr(complexes, "second_derivative_at_one", lambda delta: 3)
+        with pytest.raises(ArithmeticError):
+            casson_from_alexander(torus_alexander(2, 3))
+
+    def test_unnormalized_quotient_raises(self, monkeypatch):
+        monkeypatch.setattr(complexes, "LaurentPoly", lambda coeffs: LaurentPoly({0: 2}))
+        with pytest.raises(ArithmeticError):
+            torus_alexander(2, 3)
 
     def test_symmetric_normalized_family(self):
         for p, q in [(2, 7), (3, 4), (3, 5), (4, 5), (5, 6)]:
