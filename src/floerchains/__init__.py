@@ -5,7 +5,7 @@ vectors of the instanton chain complexes of knots and two-component links
 whose double branched covers are lens spaces or Seifert-fibered manifolds.
 """
 
-from .arith import LaurentPoly, even_continued_fraction, mod_inverse, signature
+from .arith import LaurentPoly, mod_inverse
 from .complexes import (
     ChainRanks,
     GradedGenerators,
@@ -16,9 +16,7 @@ from .complexes import (
     montesinos_knot_complex,
     montesinos_link_complex,
     special_montesinos_complex,
-    torus_alexander,
     torus_complex,
-    two_bridge_complex,
     two_bridge_generators,
 )
 from .covers import (
@@ -29,14 +27,13 @@ from .covers import (
     grading_shift_delta,
     seifert_h1_order,
 )
-from .lens import LensRep, lattice_counts, lens_reps, index_plus_one
+from .lens import index_plus_one, lattice_counts
 from .seifert import (
     RotationRep,
     TwistMask,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    enumerate_reducibles,
 )
 from .signatures import torus_signature, two_bridge_signature
 
@@ -47,7 +44,6 @@ __all__ = [
     "CoverHomology",
     "GradedGenerators",
     "LaurentPoly",
-    "LensRep",
     "LinkComplex",
     "RotationRep",
     "SeifertData",
@@ -59,23 +55,17 @@ __all__ = [
     "cup_form",
     "enumerate_irreducibles",
     "enumerate_projective",
-    "enumerate_reducibles",
     "euler_characteristic",
-    "even_continued_fraction",
     "grading_shift_delta",
     "index_plus_one",
     "lattice_counts",
-    "lens_reps",
     "mod_inverse",
     "montesinos_knot_complex",
     "montesinos_link_complex",
     "seifert_h1_order",
-    "signature",
     "special_montesinos_complex",
-    "torus_alexander",
     "torus_complex",
     "torus_signature",
-    "two_bridge_complex",
     "two_bridge_generators",
     "two_bridge_signature",
 ]

@@ -3,8 +3,9 @@
 Rationals are plain ``fractions.Fraction`` values throughout the package:
 they already enforce gcd(|num|, den) = 1 and den > 0.  This module adds the
 handful of exact routines the topology pipelines need: modular inverses,
-floor sums, even continued fractions, Laurent polynomials, signatures of
-symmetric integer matrices, and Smith normal form.
+floor sums, Laurent polynomials and Smith normal form.  The Goeritz-form
+oracle of the two-bridge signature (even continued fractions and exact
+signatures of symmetric integer matrices) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,107 +49,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         if y_max < m:
             return total
         n, b, m, a = y_max // m, y_max % m, a, m
-
-
-def _nearest_even_quotient(num: int, den: int) -> int:
-    """Even integer c minimizing |num/den - c|; unique for the parities used here."""
-    c = 2 * round(Fraction(num, 2 * den))
-    if abs(num - c * den) >= abs(den):
-        raise ArithmeticError(f"ambiguous even quotient for {num}/{den}")
-    return c
-
-
-def even_continued_fraction(p: int, q: int) -> List[int]:
-    """Even-entry continued fraction of even length attached to the pair (p, q).
-
-    Convention (fixed once, used by the two-bridge signature routine): the
-    list [c1, ..., c2n] denotes the minus-form fraction
-
-        c1 - 1/(c2 - 1/( ... - 1/c2n )),
-
-    and it is computed for p/q* where q* is an even representative of q or
-    of q^(-1) mod p in (-p, p), falling back to (q mod p) - p when both are
-    odd.  Every entry is even and nonzero.  Evaluating the list recovers
-    p/q* exactly, so q* = q or q* * q = 1 (mod p).
-    """
-    if p <= 1 or p % 2 == 0:
-        raise ValueError(f"p must be odd and > 1, got {p}")
-    q0 = q % p
-    if q0 == 0 or math.gcd(p, q0) != 1:
-        raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")
-    candidates = [q0, mod_inverse(q0, p), q0 - p]
-    q_even = next(v for v in candidates if v % 2 == 0)
-
-    out: List[int] = []
-    num, den = p, q_even
-    while True:
-        c = _nearest_even_quotient(num, den)
-        out.append(c)
-        r = num - c * den
-        if r == 0:
-            break
-        num, den = -den, r
-    if len(out) % 2 != 0 or any(c == 0 or c % 2 for c in out):
-        raise ArithmeticError(f"even expansion of {p}/{q_even} failed: {out}")
-    return out
-
-
-def evaluate_minus_fraction(entries: Sequence[int]) -> Fraction:
-    """Value of [c1, ..., ck] under the minus convention used above."""
-    if not entries:
-        raise ValueError("empty continued fraction")
-    value = Fraction(entries[-1])
-    for c in reversed(entries[:-1]):
-        value = c - 1 / value
-    return value
-
-
-def signature(matrix: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer matrix, computed exactly.
-
-    Congruence diagonalization over the rationals (Sylvester's law of
-    inertia): returns the number of positive minus the number of negative
-    diagonal entries.  Zero eigenvalues contribute nothing; the matrix may
-    be degenerate.  No floating point is used anywhere.
-    """
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-
-    sig = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    continue
-                # remaining diagonal is zero; a[k][off] != 0 makes the
-                # pivot 2*a[k][off] after adding row and column `off`
-                for m in range(n):
-                    a[k][m] += a[off][m]
-                for m in range(n):
-                    a[m][k] += a[m][off]
-        pivot = a[k][k]
-        sig += 1 if pivot > 0 else -1
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f == 0:
-                continue
-            for m in range(n):
-                a[i][m] -= f * a[k][m]
-            for m in range(n):
-                a[m][i] -= f * a[m][k]
-    return sig
 
 
 class LaurentPoly:

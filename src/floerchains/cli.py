@@ -139,7 +139,6 @@ def _print_record(record: Dict, as_json: bool) -> None:
 def _cmd_two_bridge(args) -> Dict:
     gens = two_bridge_generators(args.p, args.q)
     ranks = gens.ranks()
-    chi = euler_characteristic(ranks)
     return _record(
         {"command": "two-bridge", "p": args.p, "q": args.q},
         generators=gens,
@@ -148,7 +147,10 @@ def _cmd_two_bridge(args) -> Dict:
             "differential vanishes for two-bridge knots; chain ranks equal "
             "homology ranks",
         ),
-        extras={"euler_characteristic": chi.value, "total_rank": ranks.total},
+        extras={
+            "euler_characteristic": euler_characteristic(ranks),
+            "total_rank": ranks.total,
+        },
     )
 
 
@@ -174,7 +176,7 @@ def _cmd_montesinos_knot(args) -> Dict:
     extras = {"h1_order": covers.seifert_h1_order(data)}
     if ranks:
         extras["total_rank"] = ranks.total
-        extras["euler_characteristic"] = euler_characteristic(ranks).value
+        extras["euler_characteristic"] = euler_characteristic(ranks)
     return _record(
         {
             "command": "montesinos-knot",
@@ -232,7 +234,7 @@ def _cmd_torus(args) -> Dict:
         ranks=result.ranks,
         warnings=("rank vector is conjectural; only the total rank is certified",),
         extras={
-            "total_rank": result.total_rank,
+            "total_rank": result.ranks.total,
             "special_grading": result.signature % 4,
             "signature": result.signature,
         },
@@ -264,8 +266,7 @@ def _cmd_montesinos_link(args) -> Dict:
     if result.ambiguous:
         extras["candidates"] = [list(c.r) for c in result.candidates]
     else:
-        chi = euler_characteristic(ranks)
-        extras["euler_characteristic"] = f"+-{abs(chi.value)}"
+        extras["euler_characteristic"] = f"+-{abs(euler_characteristic(ranks))}"
         if result.split and 0 in result.split:
             notes.append(
                 "generators sit in two gradings of equal parity; the "
@@ -450,7 +451,10 @@ def _parse(argv: Optional[Sequence[str]]):
     args = parser.parse_args(argv)
     if args.command != "config":
         return args
-    options = _read_config(args.path)
+    try:
+        options = _read_config(args.path)
+    except (OSError, UnicodeDecodeError) as err:
+        parser.error(f"cannot read config file {args.path}: {err}")
     command = options.pop("command", None)
     if command is None:
         parser.error("config file must set command=...")

@@ -20,13 +20,11 @@ from .errors import (
     FlatCobordismError,
     InconsistentLkError,
     NonIntegralAError,
-    NotCoprimeError,
     NotHomologyS1xS2Error,
-    UnsupportedFiberCountError,
 )
-from .lens import LensRep, lens_reps, index_plus_one
+from .lens import index_plus_one
 from .seifert import (
-    absorb_trivial_fibers,
+    _exceptional_triple,
     canonical_twist,
     casson,
     enumerate_irreducibles,
@@ -60,12 +58,6 @@ class ChainRanks:
     @property
     def total(self) -> int:
         return sum(self.r)
-
-
-@dataclass(frozen=True)
-class EulerCharacteristic:
-    value: int
-    up_to_sign: bool
 
 
 @dataclass(frozen=True)
@@ -103,13 +95,10 @@ class GradedGenerators:
         return ChainRanks(tuple(vec), ABSOLUTE)
 
 
-def euler_characteristic(c: ChainRanks) -> EulerCharacteristic:
+def euler_characteristic(c: ChainRanks) -> int:
     """Alternating sum of the ranks; defined only up to sign for cyclic anchoring."""
     r = c.r
-    return EulerCharacteristic(
-        value=r[0] - r[1] + r[2] - r[3],
-        up_to_sign=c.anchoring == CYCLIC,
-    )
+    return r[0] - r[1] + r[2] - r[3]
 
 
 def _canonical_rotation(vec: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -130,20 +119,13 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
         return GradedGenerators((GeneratorEntry(0, 1, SPECIAL),))
     sign = two_bridge_signature(p, q)
     entries = [GeneratorEntry(sign % 4, 1, SPECIAL)]
-    q_param = mod_inverse(q % p, p)
-    for rep in lens_reps(p, q_param):
-        mu = (index_plus_one(rep) // 2 + sign) % 4
-        entries.append(GeneratorEntry(mu, 1, REDUCIBLE, rep.ell))
-        entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, rep.ell))
+    q0 = q % p
+    q_param = mod_inverse(q0, p)
+    for ell in range(1, (p - 1) // 2 + 1):
+        mu = (index_plus_one(p, q_param, q0, ell) // 2 + sign) % 4
+        entries.append(GeneratorEntry(mu, 1, REDUCIBLE, ell))
+        entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, ell))
     return GradedGenerators(tuple(entries))
-
-
-def two_bridge_complex(p: int, q: int) -> ChainRanks:
-    """Chain ranks of the two-bridge complex; total rank p, Euler number +1."""
-    ranks = two_bridge_generators(p, q).ranks()
-    if ranks is None:
-        raise ArithmeticError(f"two-bridge generators of ({p}, {q}) have an unknown grading")
-    return ranks
 
 
 def special_montesinos_complex(p: int, q: int, r: int) -> ChainRanks:
@@ -173,11 +155,7 @@ def montesinos_knot_complex(
     """
     if sign_k % 2:
         raise ValueError(f"knot signatures are even, got {sign_k}")
-    reduced = absorb_trivial_fibers(s)
-    if len(reduced.pairs) != 3 or any(a == 1 for a, _ in reduced.pairs):
-        raise UnsupportedFiberCountError(
-            f"need exactly 3 exceptional fibers, got {reduced.pairs}"
-        )
+    reduced = _exceptional_triple(s)
     order = seifert_h1_order(reduced)
     prod = math.prod(a for a, _ in reduced.pairs)
     lcm = math.lcm(*(a for a, _ in reduced.pairs))
@@ -188,14 +166,14 @@ def montesinos_knot_complex(
 
     warnings: List[str] = []
     entries = [GeneratorEntry(sign_k % 4, 1, SPECIAL)]
+    # the lens space L(a, -b) of each odd fiber, with the inverse of -b mod a
+    lenses = [
+        (a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs
+    ]
 
     for idx, cls in enumerate(reducible_characters(reduced), start=1):
-        active = [
-            (a, b, ell)
-            for (a, b), ell in zip(reduced.pairs, cls.ells)
-            if ell != 0
-        ]
-        if any(a % 2 == 0 for a, _, _ in active):
+        active = [(lens, ell) for lens, ell in zip(lenses, cls.ells) if ell != 0]
+        if any(lens is None for lens, _ in active):
             warnings.append(
                 f"unknown gradings: reducible class {idx} restricts nontrivially "
                 "to an even-multiplicity fiber"
@@ -203,9 +181,8 @@ def montesinos_knot_complex(
             entries.append(GeneratorEntry(None, 2, REDUCIBLE, idx))
             continue
         mu = sign_k - 1
-        for a, b, ell in active:
-            rep = LensRep(a, (-b) % a, ell)
-            mu += index_plus_one(rep) // 2 + 1
+        for lens, ell in active:
+            mu += index_plus_one(*lens, ell) // 2 + 1
         mu %= 4
         entries.append(GeneratorEntry(mu, 1, REDUCIBLE, idx))
         entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, idx))
@@ -268,9 +245,8 @@ def torus_even_seifert_data(p: int, q: int) -> SeifertData:
 
 @dataclass(frozen=True)
 class TorusComplex:
-    """Certified total rank, conjectural rank vector and signature of an odd torus knot."""
+    """Conjectural rank vector, with its certified total, and signature of an odd torus knot."""
 
-    total_rank: int
     ranks: ChainRanks
     signature: int
 
@@ -289,7 +265,6 @@ def torus_complex(p: int, q: int) -> TorusComplex:
         raise NonIntegralAError(f"torus signature {sign} is not divisible by 8")
     a = -sign // 4
     return TorusComplex(
-        total_rank=1 + 4 * a,
         ranks=ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True),
         signature=sign,
     )
@@ -335,10 +310,9 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
     4*(n1 - n3) = +-lk; the sign ambiguity only rotates the vector, which
     is anchored up to cyclic permutation anyway.
     """
-    if seifert_h1_order(s) != 0:
-        raise NotHomologyS1xS2Error(
-            f"|H1| = {seifert_h1_order(s)}, expected a homology S^1 x S^2"
-        )
+    order = seifert_h1_order(s)
+    if order != 0:
+        raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
     twist = canonical_twist(s)
     n = len(enumerate_projective(s, twist))
     notes = (
@@ -395,51 +369,3 @@ def casson_from_alexander(delta: LaurentPoly) -> int:
     if second % 2:
         raise ArithmeticError(f"odd second derivative {second} at t = 1")
     return -second // 2
-
-
-def torus_alexander(p: int, q: int) -> LaurentPoly:
-    """Symmetrized Alexander polynomial of the torus knot on (p, q).
-
-    Computed by exact polynomial division of
-    (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and centered so that the
-    result is symmetric with value 1 at t = 1.
-    """
-    if math.gcd(p, q) != 1:
-        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
-    if p < 1 or q < 1:
-        raise ValueError(f"parameters must be positive, got ({p}, {q})")
-    if p == 1 or q == 1:
-        return LaurentPoly.constant(1)
-
-    def poly_mul(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-        return out
-
-    def cyclic(n):
-        return [-1] + [0] * (n - 1) + [1]
-
-    def poly_div(num, den):
-        num = num[:]
-        out = [0] * (len(num) - len(den) + 1)
-        for k in range(len(out) - 1, -1, -1):
-            c = num[k + len(den) - 1]
-            if c % den[-1]:
-                raise ArithmeticError(f"coefficient {c} is not divisible by {den[-1]}")
-            f = c // den[-1]
-            out[k] = f
-            for i, d in enumerate(den):
-                num[k + i] -= f * d
-        if any(num):
-            raise ArithmeticError(f"nonzero remainder {num} in exact division")
-        return out
-
-    numerator = poly_mul(cyclic(p * q), cyclic(1))
-    quotient = poly_div(poly_div(numerator, cyclic(p)), cyclic(q))
-    genus_shift = (p - 1) * (q - 1) // 2
-    delta = LaurentPoly(enumerate(quotient)).shift(-genus_shift)
-    if delta(1) != 1 or not delta.is_symmetric():
-        raise ArithmeticError(f"torus Alexander polynomial of ({p}, {q}) is not normalized")
-    return delta

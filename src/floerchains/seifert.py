@@ -183,7 +183,6 @@ class ReducibleClass:
     """A nontrivial character class with its induced per-fiber rotation numbers."""
 
     ells: Tuple[int, ...]
-    values: Tuple[Fraction, ...]
 
 
 def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
@@ -237,20 +236,10 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
                 raise ArithmeticError(f"character value {w} is not in (1/{a})Z")
             k = int(scaled) % a
             ells.append(min(k, a - k))
-        classes.append(ReducibleClass(ells=tuple(ells), values=values[:n]))
+        classes.append(ReducibleClass(ells=tuple(ells)))
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes
-
-
-def enumerate_reducibles(s: SeifertData) -> int:
-    """Number of nontrivial reducible SO(3) classes: (|H1| - 1) / 2."""
-    order = seifert_h1_order(s)
-    if order == 0:
-        raise InfiniteH1Error("first homology is infinite")
-    if order % 2 == 0:
-        raise EvenOrderError(f"|H1| = {order} is even")
-    return (order - 1) // 2
 
 
 def _mod2_solutions(pairs, target: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -271,15 +260,8 @@ def _mod2_solutions(pairs, target: Sequence[int]) -> List[Tuple[int, ...]]:
     return sols
 
 
-def projective_su2_classes(
-    s: SeifertData, twist: TwistMask
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """SU(2) classes of sign-twisted representations, as (m, rotation numbers).
-
-    The twisted relators read x_i^(a_i) = t_i * h^(-b_i); the twist must
-    have exactly one -1 and must represent the nontrivial w2 class, that
-    is, it must not be the coboundary of a sign character.
-    """
+def _twisted_triple(s: SeifertData, twist: TwistMask):
+    """Reduced pairs of s and the relator parity shifts of a valid twist on them."""
     reduced = _exceptional_triple(s)
     pairs = reduced.pairs
     if len(twist.signs) != len(s.pairs):
@@ -291,19 +273,29 @@ def projective_su2_classes(
     kept = tuple(t for (a, _), t in zip(s.pairs, twist.signs) if a > 1)
     if sum(1 for t in kept if t == -1) != 1:
         raise BadTwistMaskError(f"twist must contain exactly one -1, got {twist.signs}")
-    if seifert_h1_order(reduced) != 0:
-        raise NotHomologyS1xS2Error(
-            f"|H1| = {seifert_h1_order(reduced)}, expected a homology S^1 x S^2"
-        )
+    order = seifert_h1_order(reduced)
+    if order != 0:
+        raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
     shifts = tuple(1 if t == -1 else 0 for t in kept)
     if _mod2_solutions(pairs, shifts):
         raise BadTwistMaskError("twist mask is a coboundary; it represents w2 = 0")
+    return pairs, shifts
 
-    classes = []
-    for m in (0, 1):
-        for ells in _rotation_sweep(pairs, m, shifts):
-            classes.append((m, ells))
-    return classes
+
+def _twisted_classes(pairs, shifts) -> List[Tuple[int, Tuple[int, ...]]]:
+    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
+
+
+def projective_su2_classes(
+    s: SeifertData, twist: TwistMask
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """SU(2) classes of sign-twisted representations, as (m, rotation numbers).
+
+    The twisted relators read x_i^(a_i) = t_i * h^(-b_i); the twist must
+    have exactly one -1 and must represent the nontrivial w2 class, that
+    is, it must not be the coboundary of a sign character.
+    """
+    return _twisted_classes(*_twisted_triple(s, twist))
 
 
 def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
@@ -313,8 +305,8 @@ def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
     ell_i -> a_i - ell_i on the fibers it hits (and flips the central sign
     when it is nonzero on h); orbits have size two.
     """
-    su2 = projective_su2_classes(s, twist)
-    pairs = _exceptional_triple(s).pairs
+    pairs, shifts = _twisted_triple(s, twist)
+    su2 = _twisted_classes(pairs, shifts)
     characters = [chi for chi in _mod2_solutions(pairs, (0, 0, 0)) if any(chi)]
     if len(characters) != 1:
         raise NotHomologyS1xS2Error(

@@ -28,8 +28,9 @@ def two_bridge_signature(p: int, q: int) -> int:
     Replacing q_odd by a = q_odd mod 2p keeps every parity, and
     (-1)^f = 1 - 2f + 4*floor(f/2) with floor(f/2) = floor(i*a/(2p)), so
     the sum is two floor sums (``arith.floor_sum``) and costs O(log p).
-    The tests pin it to the exact signature (``arith.signature``) of the
-    tridiagonal Goeritz-type form of ``even_continued_fraction(p, q)``.
+    ``tests/oracles.py`` holds the route the tests pin it to: the exact
+    signature of the tridiagonal Goeritz-type form of the even continued
+    fraction of (p, q).
     As a sum of p - 1 signs the value is even with |value| <= p - 1; the
     figure-eight pair (5, 3) gives 0 and (3, 1) gives -2.
     """

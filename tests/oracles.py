@@ -1,0 +1,240 @@
+"""Independent routes the shipping kernels are pinned to; only tests call them.
+
+- The Goeritz form of the two-bridge signature: the even continued fraction
+  of (p, q), its tridiagonal form and the exact signature of a symmetric
+  integer matrix.
+- The lens lattice counts by a walk over the j-range and by a double loop
+  over the whole rectangle.
+- The torus-knot Alexander polynomial by exact polynomial division; it feeds
+  ``casson_from_alexander``.
+- The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import List, Sequence
+
+from floerchains.arith import LaurentPoly, mod_inverse
+from floerchains.complexes import ChainRanks, two_bridge_generators
+from floerchains.covers import SeifertData, seifert_h1_order
+from floerchains.errors import EvenOrderError, InfiniteH1Error, NotCoprimeError
+from floerchains.lens import LatticeCounts
+
+
+def _nearest_even_quotient(num: int, den: int) -> int:
+    """Even integer c minimizing |num/den - c|; unique for the parities used here."""
+    c = 2 * round(Fraction(num, 2 * den))
+    if abs(num - c * den) >= abs(den):
+        raise ArithmeticError(f"ambiguous even quotient for {num}/{den}")
+    return c
+
+
+def even_continued_fraction(p: int, q: int) -> List[int]:
+    """Even-entry continued fraction of even length attached to the pair (p, q).
+
+    Convention: the list [c1, ..., c2n] denotes the minus-form fraction
+
+        c1 - 1/(c2 - 1/( ... - 1/c2n )),
+
+    and it is computed for p/q* where q* is an even representative of q or
+    of q^(-1) mod p in (-p, p), falling back to (q mod p) - p when both are
+    odd.  Every entry is even and nonzero.  Evaluating the list recovers
+    p/q* exactly, so q* = q or q* * q = 1 (mod p).
+    """
+    if p <= 1 or p % 2 == 0:
+        raise ValueError(f"p must be odd and > 1, got {p}")
+    q0 = q % p
+    if q0 == 0 or math.gcd(p, q0) != 1:
+        raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")
+    candidates = [q0, mod_inverse(q0, p), q0 - p]
+    q_even = next(v for v in candidates if v % 2 == 0)
+
+    out: List[int] = []
+    num, den = p, q_even
+    while True:
+        c = _nearest_even_quotient(num, den)
+        out.append(c)
+        r = num - c * den
+        if r == 0:
+            break
+        num, den = -den, r
+    if len(out) % 2 != 0 or any(c == 0 or c % 2 for c in out):
+        raise ArithmeticError(f"even expansion of {p}/{q_even} failed: {out}")
+    return out
+
+
+def evaluate_minus_fraction(entries: Sequence[int]) -> Fraction:
+    """Value of [c1, ..., ck] under the minus convention used above."""
+    if not entries:
+        raise ValueError("empty continued fraction")
+    value = Fraction(entries[-1])
+    for c in reversed(entries[:-1]):
+        value = c - 1 / value
+    return value
+
+
+def signature(matrix: Sequence[Sequence[int]]) -> int:
+    """Signature of a symmetric integer matrix, computed exactly.
+
+    Congruence diagonalization over the rationals (Sylvester's law of
+    inertia): returns the number of positive minus the number of negative
+    diagonal entries.  Zero eigenvalues contribute nothing; the matrix may
+    be degenerate.  No floating point is used anywhere.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+
+    sig = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    continue
+                # remaining diagonal is zero; a[k][off] != 0 makes the
+                # pivot 2*a[k][off] after adding row and column `off`
+                for m in range(n):
+                    a[k][m] += a[off][m]
+                for m in range(n):
+                    a[m][k] += a[m][off]
+        pivot = a[k][k]
+        sig += 1 if pivot > 0 else -1
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            if f == 0:
+                continue
+            for m in range(n):
+                a[i][m] -= f * a[k][m]
+            for m in range(n):
+                a[m][i] -= f * a[m][k]
+    return sig
+
+
+def goeritz_signature(p: int, q: int) -> int:
+    """Exact signature of the tridiagonal form of the even continued fraction."""
+    entries = even_continued_fraction(p, q)
+    n = len(entries)
+    matrix = [[0] * n for _ in range(n)]
+    for i, c in enumerate(entries):
+        matrix[i][i] = c
+        if i + 1 < n:
+            matrix[i][i + 1] = matrix[i + 1][i] = 1
+    return signature(matrix)
+
+
+def naive_counts(p: int, q: int, ell: int) -> LatticeCounts:
+    """Lens lattice counts by a double loop over the full rectangle."""
+    k1 = ell
+    k2 = (-mod_inverse(q, p) * ell) % p
+    n1 = n2 = 0
+    for i in range(-k1, k1 + 1):
+        for j in range(-k2, k2 + 1):
+            if (i + q * j) % p != 0:
+                continue
+            if abs(i) < k1 and abs(j) < k2:
+                n1 += 1
+            elif (abs(i) == k1 and abs(j) < k2) or (abs(i) < k1 and abs(j) == k2):
+                n2 += 1
+    return LatticeCounts(k2, n1, n2)
+
+
+def walk_counts(p: int, q: int, ell: int) -> LatticeCounts:
+    """Lens lattice counts by a walk over the j-range of the rectangle, O(p).
+
+    Since k1 = ell <= (p-1)/2, each j admits at most one i with |i| <= k1
+    in its congruence class, namely the symmetric representative of -q*j
+    mod p.
+    """
+    k1 = ell
+    k2 = (-mod_inverse(q, p) * ell) % p
+    half = (p - 1) // 2
+    n1 = n2 = 0
+    for j in range(-k2, k2 + 1):
+        i = (-q * j) % p
+        if i > half:
+            i -= p
+        ai, aj = abs(i), abs(j)
+        if ai < k1 and aj < k2:
+            n1 += 1
+        elif (ai == k1 and aj < k2) or (ai < k1 and aj == k2):
+            n2 += 1
+    return LatticeCounts(k2=k2, n1=n1, n2=n2)
+
+
+def torus_alexander(p: int, q: int) -> LaurentPoly:
+    """Symmetrized Alexander polynomial of the torus knot on (p, q).
+
+    Computed by exact polynomial division of
+    (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and centered so that the
+    result is symmetric with value 1 at t = 1.
+    """
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+    if p < 1 or q < 1:
+        raise ValueError(f"parameters must be positive, got ({p}, {q})")
+    if p == 1 or q == 1:
+        return LaurentPoly.constant(1)
+
+    def poly_mul(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+        return out
+
+    def cyclic(n):
+        return [-1] + [0] * (n - 1) + [1]
+
+    def poly_div(num, den):
+        num = num[:]
+        out = [0] * (len(num) - len(den) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            c = num[k + len(den) - 1]
+            if c % den[-1]:
+                raise ArithmeticError(f"coefficient {c} is not divisible by {den[-1]}")
+            f = c // den[-1]
+            out[k] = f
+            for i, d in enumerate(den):
+                num[k + i] -= f * d
+        if any(num):
+            raise ArithmeticError(f"nonzero remainder {num} in exact division")
+        return out
+
+    numerator = poly_mul(cyclic(p * q), cyclic(1))
+    quotient = poly_div(poly_div(numerator, cyclic(p)), cyclic(q))
+    genus_shift = (p - 1) * (q - 1) // 2
+    delta = LaurentPoly(enumerate(quotient)).shift(-genus_shift)
+    if delta(1) != 1 or not delta.is_symmetric():
+        raise ArithmeticError(f"torus Alexander polynomial of ({p}, {q}) is not normalized")
+    return delta
+
+
+def two_bridge_complex(p: int, q: int) -> ChainRanks:
+    """Chain ranks of the two-bridge complex; total rank p, Euler number +1."""
+    ranks = two_bridge_generators(p, q).ranks()
+    if ranks is None:
+        raise ArithmeticError(f"two-bridge generators of ({p}, {q}) have an unknown grading")
+    return ranks
+
+
+def enumerate_reducibles(s: SeifertData) -> int:
+    """Number of nontrivial reducible SO(3) classes: (|H1| - 1) / 2."""
+    order = seifert_h1_order(s)
+    if order == 0:
+        raise InfiniteH1Error("first homology is infinite")
+    if order % 2 == 0:
+        raise EvenOrderError(f"|H1| = {order} is even")
+    return (order - 1) // 2

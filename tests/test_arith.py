@@ -6,15 +6,14 @@ import pytest
 
 from floerchains.arith import (
     LaurentPoly,
-    evaluate_minus_fraction,
-    even_continued_fraction,
     floor_sum,
     mod_inverse,
     second_derivative_at_one,
-    signature,
     smith_normal_form,
 )
 from floerchains.errors import NotCoprimeError, NotNormalizedError
+
+from oracles import evaluate_minus_fraction, even_continued_fraction, signature
 
 
 class TestModInverse:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import floerchains
-from floerchains import cli, complexes, seifert, signatures
+from floerchains import arith, cli, complexes, lens, seifert, signatures
 from floerchains.cli import _record, main, parse_alexander, parse_pairs
 from floerchains.complexes import ChainRanks, GeneratorEntry, GradedGenerators
 from floerchains.signatures import torus_signature
@@ -363,6 +363,16 @@ class TestWorkPerRecord:
         assert run(capsys, "torus", "3", "5", "--json")[0] == 0
         assert len(calls) == 1
 
+    def test_two_bridge_inverts_once(self, capsys, monkeypatch):
+        modules = (arith, cli, complexes, lens, seifert, signatures)
+        inverses = count_calls(
+            monkeypatch, [(m, "mod_inverse") for m in modules if hasattr(m, "mod_inverse")]
+        )
+        windows = count_calls(monkeypatch, [(lens, "lattice_counts")])
+        assert run(capsys, "two-bridge", "-p", "1001", "-q", "376", "--json")[0] == 0
+        assert len(inverses) <= 1
+        assert len(windows) == 500
+
     def test_parser_built_once(self, capsys, monkeypatch):
         assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0
         calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "__init__")])
@@ -403,3 +413,17 @@ class TestConfigMode:
         record = json.loads(out)
         assert code == 0
         assert record["ranks"] == [3, 2, 2, 2]
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["config", str(tmp_path / "absent.cfg"), "--json"])
+        assert err.value.code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("command = two-bridge\np = 5\nq = 3\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(SystemExit) as err:
+            main(["config", str(cfg), "--json"])
+        assert err.value.code == 2
+        assert "cannot read config file" in capsys.readouterr().err

@@ -28,11 +28,11 @@ from floerchains.seifert import (
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    enumerate_reducibles,
     projective_su2_classes,
     reducible_characters,
 )
 
+from oracles import enumerate_reducibles
 from su2_oracle import seifert_su2_count
 
 
@@ -270,7 +270,7 @@ class TestProjective:
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
         twist = canonical_twist(data)
         su2 = projective_su2_classes(data, twist)
-        monkeypatch.setattr(seifert, "projective_su2_classes", lambda s, t: su2[1:])
+        monkeypatch.setattr(seifert, "_twisted_classes", lambda pairs, shifts: su2[1:])
         with pytest.raises(ArithmeticError, match="not free"):
             enumerate_projective(data, twist)
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from floerchains.arith import even_continued_fraction, signature
 from floerchains.errors import NotCoprimeError
 from floerchains.signatures import torus_signature, two_bridge_signature
+
+from oracles import even_continued_fraction, goeritz_signature, signature
 
 
 def brick_seifert_matrix(p, q):
@@ -22,18 +23,6 @@ def brick_seifert_matrix(p, q):
         if (i + 1, j + 1) in idx:
             v[a][idx[(i + 1, j + 1)]] = -1
     return v
-
-
-def goeritz_signature(p, q):
-    """Exact signature of the tridiagonal form of the even continued fraction."""
-    entries = even_continued_fraction(p, q)
-    n = len(entries)
-    matrix = [[0] * n for _ in range(n)]
-    for i, c in enumerate(entries):
-        matrix[i][i] = c
-        if i + 1 < n:
-            matrix[i][i + 1] = matrix[i + 1][i] = 1
-    return signature(matrix)
 
 
 def partial_quotient_sum(p, q):
@@ -138,8 +127,6 @@ class TestTwoBridgeSignature:
         assert abs(two_bridge_signature(p, q)) == magnitude
 
     def test_goeritz_form_determinant_is_knot_determinant(self):
-        from floerchains.arith import even_continued_fraction
-
         for p in range(3, 80, 2):
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
