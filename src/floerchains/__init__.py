@@ -30,7 +30,6 @@ from .covers import (
 from .lens import index_plus_one, lattice_counts
 from .seifert import (
     RotationRep,
-    TwistMask,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
@@ -48,7 +47,6 @@ __all__ = [
     "RotationRep",
     "SeifertData",
     "TorusComplex",
-    "TwistMask",
     "branched_cover_h1",
     "casson",
     "casson_from_alexander",

@@ -20,12 +20,10 @@ from .errors import (
     FlatCobordismError,
     InconsistentLkError,
     NonIntegralAError,
-    NotHomologyS1xS2Error,
 )
 from .lens import index_plus_one
 from .seifert import (
     _exceptional_triple,
-    canonical_twist,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
@@ -310,11 +308,7 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
     4*(n1 - n3) = +-lk; the sign ambiguity only rotates the vector, which
     is anchored up to cyclic permutation anyway.
     """
-    order = seifert_h1_order(s)
-    if order != 0:
-        raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
-    twist = canonical_twist(s)
-    n = len(enumerate_projective(s, twist))
+    n = len(enumerate_projective(s))
     notes = (
         "split fixed by the Euler-characteristic identity 4*(n1 - n3) = +-lk; "
         "the alternative identity n3 - n1 = +-lk conflicts with the worked "

@@ -34,7 +34,7 @@ class NotHomologyS1xS2Error(DomainError):
 
 
 class BadTwistMaskError(DomainError):
-    """A relator sign mask is missing, multiple, or cohomologically trivial."""
+    """No single-fiber relator twist carries the nontrivial w2 class."""
 
 
 class FlatCobordismError(DomainError):

@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .arith import mod_inverse, smith_normal_form
 from .covers import SeifertData, seifert_h1_order
@@ -44,17 +43,6 @@ class RotationRep:
 
     m: int
     ells: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TwistMask:
-    """Signs +-1, one per torsion relator x_i^(a_i) = sign * h^(-b_i)."""
-
-    signs: Tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError(f"twist signs must be +-1, got {self.signs}")
 
 
 def absorb_trivial_fibers(s: SeifertData) -> SeifertData:
@@ -189,8 +177,10 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
     """Nontrivial characters of H1 into SO(2), up to inversion.
 
     Characters are computed from the Smith normal form of the relation
-    matrix.  The induced rotation number on fiber i is the folded numerator
-    of the character value on x_i, a representation of Z/a_i.
+    matrix and scanned as integers mod the lcm of its diagonal, one per
+    inverse pair, in lexicographic order of their SNF coordinates.  The
+    induced rotation number on fiber i is the folded numerator of the
+    character value on x_i, a representation of Z/a_i.
     """
     reduced = absorb_trivial_fibers(s)
     pairs = reduced.pairs
@@ -210,31 +200,24 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
             "central fiber class survives in H1; characters do not extend flatly"
         )
 
-    seen: Dict[Tuple[Fraction, ...], None] = {}
+    # character values scaled by L = lcm(diag): the value on generator i of
+    # the character with coordinates combo is sum_j cols[i][j]*combo[j] / L
+    lcm = math.lcm(*diag)
+    cols = [[v[i][j] * (lcm // diag[j]) for j in range(n + 1)] for i in range(n + 1)]
     classes: List[ReducibleClass] = []
     for combo in itertools.product(*(range(dj) for dj in diag)):
-        if not any(combo):
+        # odd order: no character is its own inverse, so keep the smaller of
+        # combo and its negation; the first of each pair in the scan is kept
+        if combo >= tuple(-c % dj for c, dj in zip(combo, diag)):
             continue
-        values = []
-        for i in range(n + 1):
-            val = sum(
-                Fraction(v[i][j] * combo[j], diag[j]) for j in range(n + 1)
-            )
-            values.append(val - math.floor(val))
-        values = tuple(values)
+        values = [sum(x * c for x, c in zip(row, combo)) % lcm for row in cols]
         if values[n]:
             raise ArithmeticError(f"character {combo} is nontrivial on h")
-        inverse = tuple((-w) % 1 if w else Fraction(0) for w in values)
-        key = min(values, inverse)
-        if key in seen:
-            continue
-        seen[key] = None
         ells = []
-        for (a, _), w in zip(pairs, values[:n]):
-            scaled = w * a
-            if scaled.denominator != 1:
-                raise ArithmeticError(f"character value {w} is not in (1/{a})Z")
-            k = int(scaled) % a
+        for (a, _), w in zip(pairs, values):
+            if w * a % lcm:
+                raise ArithmeticError(f"character value {w}/{lcm} is not in (1/{a})Z")
+            k = w * a // lcm
             ells.append(min(k, a - k))
         classes.append(ReducibleClass(ells=tuple(ells)))
     if len(classes) != (order - 1) // 2:
@@ -260,53 +243,35 @@ def _mod2_solutions(pairs, target: Sequence[int]) -> List[Tuple[int, ...]]:
     return sols
 
 
-def _twisted_triple(s: SeifertData, twist: TwistMask):
-    """Reduced pairs of s and the relator parity shifts of a valid twist on them."""
-    reduced = _exceptional_triple(s)
-    pairs = reduced.pairs
-    if len(twist.signs) != len(s.pairs):
-        raise BadTwistMaskError(
-            f"twist has {len(twist.signs)} signs for {len(s.pairs)} fibers"
-        )
-    if any(t == -1 and a == 1 for (a, _), t in zip(s.pairs, twist.signs)):
-        raise BadTwistMaskError("cannot twist a trivial (1, b) fiber")
-    kept = tuple(t for (a, _), t in zip(s.pairs, twist.signs) if a > 1)
-    if sum(1 for t in kept if t == -1) != 1:
-        raise BadTwistMaskError(f"twist must contain exactly one -1, got {twist.signs}")
-    order = seifert_h1_order(reduced)
-    if order != 0:
-        raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
-    shifts = tuple(1 if t == -1 else 0 for t in kept)
-    if _mod2_solutions(pairs, shifts):
-        raise BadTwistMaskError("twist mask is a coboundary; it represents w2 = 0")
-    return pairs, shifts
+def _w2_shifts(pairs) -> Tuple[int, ...]:
+    """Relator parity shifts of the twist on the largest fiber that carries w2.
 
-
-def _twisted_classes(pairs, shifts) -> List[Tuple[int, Tuple[int, ...]]]:
-    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
-
-
-def projective_su2_classes(
-    s: SeifertData, twist: TwistMask
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """SU(2) classes of sign-twisted representations, as (m, rotation numbers).
-
-    The twisted relators read x_i^(a_i) = t_i * h^(-b_i); the twist must
-    have exactly one -1 and must represent the nontrivial w2 class, that
-    is, it must not be the coboundary of a sign character.
+    Fibers are tried in decreasing order of multiplicity, ties by position;
+    the first single twist x_i^(a_i) = -h^(-b_i) that is not the coboundary
+    of a sign character wins.
     """
-    return _twisted_classes(*_twisted_triple(s, twist))
+    n = len(pairs)
+    for i in sorted(range(n), key=lambda i: (-pairs[i][0], i)):
+        shifts = tuple(int(j == i) for j in range(n))
+        if not _mod2_solutions(pairs, shifts):
+            return shifts
+    raise BadTwistMaskError("no single-fiber twist represents the nontrivial w2")
 
 
-def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
+def enumerate_projective(s: SeifertData) -> List[RotationRep]:
     """SO(3) classes with nontrivial w2, one per orbit of the free sign action.
 
-    The nontrivial character of H1(.; Z/2) acts on SU(2) classes by
+    The cover must be a homology S^1 x S^2 with three exceptional fibers.
+    SU(2) classes of the relations twisted by _w2_shifts come from the
+    rotation sweep; the nontrivial character of H1(.; Z/2) acts on them by
     ell_i -> a_i - ell_i on the fibers it hits (and flips the central sign
-    when it is nonzero on h); orbits have size two.
+    when it is nonzero on h), and orbits have size two.
     """
-    pairs, shifts = _twisted_triple(s, twist)
-    su2 = _twisted_classes(pairs, shifts)
+    order = seifert_h1_order(s)
+    if order != 0:
+        raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
+    pairs = _exceptional_triple(s).pairs
+    shifts = _w2_shifts(pairs)
     characters = [chi for chi in _mod2_solutions(pairs, (0, 0, 0)) if any(chi)]
     if len(characters) != 1:
         raise NotHomologyS1xS2Error(
@@ -322,11 +287,12 @@ def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
         )
         return ((m + chi[n]) % 2, flipped)
 
-    # one sorted pass: each orbit is named by its smaller member, so the
-    # orbits come out in (m, ells) order
+    # the sweep emits (m, ells) in lexicographic order, so naming each orbit
+    # by its first member lists the orbits in that order too
+    su2 = [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
     remaining = set(su2)
     orbits = []
-    for cls in sorted(remaining):
+    for cls in su2:
         if cls not in remaining:
             continue
         other = partner(cls)
@@ -336,23 +302,3 @@ def enumerate_projective(s: SeifertData, twist: TwistMask) -> List[RotationRep]:
         remaining.discard(other)
         orbits.append(RotationRep(m=cls[0], ells=cls[1]))
     return orbits
-
-
-def canonical_twist(s: SeifertData) -> TwistMask:
-    """Deterministic valid twist mask: the largest fiber that carries w2.
-
-    Fibers are tried in decreasing order of multiplicity; the first single
-    twist that is not a coboundary wins.
-    """
-    order = sorted(
-        (i for i, (a, _) in enumerate(s.pairs) if a > 1),
-        key=lambda i: (-s.pairs[i][0], i),
-    )
-    reduced = _exceptional_triple(s)
-    for i in order:
-        signs = tuple(-1 if j == i else 1 for j in range(len(s.pairs)))
-        kept = tuple(t for (a, _), t in zip(s.pairs, signs) if a > 1)
-        shifts = tuple(1 if t == -1 else 0 for t in kept)
-        if not _mod2_solutions(reduced.pairs, shifts):
-            return TwistMask(signs)
-    raise BadTwistMaskError("no single-fiber twist represents the nontrivial w2")

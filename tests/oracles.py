@@ -8,19 +8,28 @@
 - The torus-knot Alexander polynomial by exact polynomial division; it feeds
   ``casson_from_alexander``.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
+- The reducible character classes with ``Fraction`` values, one class per
+  inverse pair kept through a dict of seen values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from floerchains.arith import LaurentPoly, mod_inverse
+from floerchains.arith import LaurentPoly, mod_inverse, smith_normal_form
 from floerchains.complexes import ChainRanks, two_bridge_generators
 from floerchains.covers import SeifertData, seifert_h1_order
-from floerchains.errors import EvenOrderError, InfiniteH1Error, NotCoprimeError
+from floerchains.errors import (
+    EvenOrderError,
+    FlatCobordismError,
+    InfiniteH1Error,
+    NotCoprimeError,
+)
 from floerchains.lens import LatticeCounts
+from floerchains.seifert import ReducibleClass, _h1_presentation, absorb_trivial_fibers
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -238,3 +247,60 @@ def enumerate_reducibles(s: SeifertData) -> int:
     if order % 2 == 0:
         raise EvenOrderError(f"|H1| = {order} is even")
     return (order - 1) // 2
+
+
+def fraction_reducible_characters(s: SeifertData) -> List[ReducibleClass]:
+    """Nontrivial characters of H1 into SO(2) up to inversion, with Fraction values.
+
+    Every element of the Smith-form dual is evaluated on the generators as
+    a tuple of fractions in [0, 1); a class is kept the first time neither
+    it nor its inverse has been seen.
+    """
+    reduced = absorb_trivial_fibers(s)
+    pairs = reduced.pairs
+    order = seifert_h1_order(reduced)
+    if order == 0:
+        raise InfiniteH1Error("first homology is infinite")
+    if order % 2 == 0:
+        raise EvenOrderError(f"|H1| = {order} is even")
+
+    n = len(pairs)
+    _, d, v = smith_normal_form(_h1_presentation(pairs))
+    diag = [d[j][j] for j in range(n + 1)]
+    if math.prod(diag) != order:
+        raise ArithmeticError(f"Smith diagonal {diag} does not multiply to |H1| = {order}")
+    if any(v[n][j] % diag[j] for j in range(n + 1)):
+        raise FlatCobordismError(
+            "central fiber class survives in H1; characters do not extend flatly"
+        )
+
+    seen: Dict[Tuple[Fraction, ...], None] = {}
+    classes: List[ReducibleClass] = []
+    for combo in itertools.product(*(range(dj) for dj in diag)):
+        if not any(combo):
+            continue
+        values = []
+        for i in range(n + 1):
+            val = sum(
+                Fraction(v[i][j] * combo[j], diag[j]) for j in range(n + 1)
+            )
+            values.append(val - math.floor(val))
+        values = tuple(values)
+        if values[n]:
+            raise ArithmeticError(f"character {combo} is nontrivial on h")
+        inverse = tuple((-w) % 1 if w else Fraction(0) for w in values)
+        key = min(values, inverse)
+        if key in seen:
+            continue
+        seen[key] = None
+        ells = []
+        for (a, _), w in zip(pairs, values[:n]):
+            scaled = w * a
+            if scaled.denominator != 1:
+                raise ArithmeticError(f"character value {w} is not in (1/{a})Z")
+            k = int(scaled) % a
+            ells.append(min(k, a - k))
+        classes.append(ReducibleClass(ells=tuple(ells)))
+    if len(classes) != (order - 1) // 2:
+        raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
+    return classes

@@ -23,11 +23,11 @@ from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import EvenOrderError, InfiniteH1Error, NotHomologyS1xS2Error
 from floerchains.lens import index_plus_one
 from floerchains.seifert import (
-    canonical_twist,
+    _rotation_sweep,
+    _w2_shifts,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    projective_su2_classes,
     reducible_characters,
 )
 from floerchains.signatures import torus_signature, two_bridge_signature
@@ -82,9 +82,9 @@ def test_criterion_3_montesinos_knot_pipeline():
 
 def test_criterion_4_pretzel_link():
     data = SeifertData(((2, 1), (3, -1), (6, -1)))
-    twist = canonical_twist(data)
-    assert len(projective_su2_classes(data, twist)) == 2
-    assert len(enumerate_projective(data, twist)) == 1
+    shifts = _w2_shifts(data.pairs)
+    assert sum(len(_rotation_sweep(data.pairs, m, shifts)) for m in (0, 1)) == 2
+    assert len(enumerate_projective(data)) == 1
     result = montesinos_link_complex(data, 4)
     assert cyclic_equal(result.ranks.r, (2, 0, 2, 0))
     assert result.ranks.anchoring == "cyclic"
@@ -202,7 +202,7 @@ def test_criterion_9_normalization_invariance():
             continue
         data = SeifertData(((a1, b1), (a2, b2), (a3, b3)))
         try:
-            base = len(enumerate_projective(data, canonical_twist(data)))
+            base = len(enumerate_projective(data))
         except NotHomologyS1xS2Error:
             continue
         projective_sets += 1
@@ -212,7 +212,7 @@ def test_criterion_9_normalization_invariance():
         paired[j] = (paired[j][0], paired[j][1] - paired[j][0])
         moved = SeifertData(tuple(paired))
         assert seifert_h1_order(moved) == 0
-        assert len(enumerate_projective(moved, canonical_twist(moved))) == base
+        assert len(enumerate_projective(moved)) == base
 
     report(9, f"counts and |H1| invariant under moves on {datasets + projective_sets} datasets")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import floerchains
-from floerchains import arith, cli, complexes, lens, seifert, signatures
+from floerchains import arith, cli, complexes, covers, lens, seifert, signatures
 from floerchains.cli import _record, main, parse_alexander, parse_pairs
 from floerchains.complexes import ChainRanks, GeneratorEntry, GradedGenerators
 from floerchains.signatures import torus_signature
@@ -356,6 +356,27 @@ class TestWorkPerRecord:
         argv = ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--json"]
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 2
+
+    def test_link_sets_up_once(self, capsys, monkeypatch):
+        # one |H1|, one reduction, and the mod-2 solver once for the twist on
+        # the largest fiber and once for the sign character
+        modules = (cli, complexes, covers, seifert)
+        names = ("seifert_h1_order", "_exceptional_triple", "_mod2_solutions")
+        calls = {
+            name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
+            for name in names
+        }
+        for pairs in ("2,1;5,-2;10,-1", "2,1;5,-2;10,-1;1,0"):
+            for found in calls.values():
+                found.clear()
+            argv = ["montesinos-link", "--pairs", pairs, "--lk", "4", "--json"]
+            assert run(capsys, *argv)[0] == 0
+            counts = {name: len(found) for name, found in calls.items()}
+            assert counts == {
+                "seifert_h1_order": 1,
+                "_exceptional_triple": 1,
+                "_mod2_solutions": 2,
+            }, pairs
 
     def test_odd_torus_signature_once(self, capsys, monkeypatch):
         bindings = [(signatures, "torus_signature"), (complexes, "torus_signature")]

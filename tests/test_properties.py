@@ -3,15 +3,25 @@
 Every test is derandomized, so a run checks the same examples each time.
 """
 
+import functools
 import math
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
+from floerchains.covers import SeifertData
+from floerchains.errors import DomainError
 from floerchains.lens import index_plus_one, lattice_counts
+from floerchains.seifert import (
+    _exceptional_triple,
+    _w2_shifts,
+    enumerate_projective,
+    reducible_characters,
+)
 from floerchains.signatures import two_bridge_signature
 
-from oracles import goeritz_signature, walk_counts
+from oracles import fraction_reducible_characters, goeritz_signature, walk_counts
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -66,3 +76,82 @@ def test_two_bridge_signature_flips_under_mirror(pair):
 )
 def test_floor_sum_matches_brute_force(n, m, a, b):
     assert floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n))
+
+
+@functools.cache
+def flat_triples(product_max=6000):
+    """Every ((a_i, b_i)) with 2 <= a_1 <= a_2 <= a_3, a_1*a_2*a_3 <= product_max,
+    0 < b_1 < a_1, 0 < b_2 < a_2, whose |H1| = a_1*a_2*a_3 / lcm is odd and > 1.
+
+    |H1| = |e| * a_1*a_2*a_3 equals the product over the lcm exactly when the
+    triple is flat, so b_3 is the integer that makes |e| = 1 / lcm, if any.
+    """
+    out = []
+    for a1 in range(2, round(product_max ** (1 / 3)) + 1):
+        for a2 in range(a1, math.isqrt(product_max // a1) + 1):
+            for a3 in range(a2, product_max // (a1 * a2) + 1):
+                order = a1 * a2 * a3 // math.lcm(a1, a2, a3)
+                if order % 2 == 0 or order == 1:
+                    continue
+                for b1 in range(1, a1):
+                    for b2 in range(1, a2):
+                        for sign in (1, -1):
+                            num = sign * order - a3 * (b1 * a2 + a1 * b2)
+                            if num % (a1 * a2):
+                                continue
+                            b3 = num // (a1 * a2)
+                            if math.gcd(a1, b1) == math.gcd(a2, b2) == math.gcd(a3, b3) == 1:
+                                out.append(((a1, b1), (a2, b2), (a3, b3)))
+    return out
+
+
+def moved(pairs, i, j, k):
+    """b_i += k*a_i and b_j -= k*a_j: the same manifold with the same e."""
+    pairs = list(pairs)
+    pairs[i] = (pairs[i][0], pairs[i][1] + k * pairs[i][0])
+    pairs[j] = (pairs[j][0], pairs[j][1] - k * pairs[j][0])
+    return tuple(pairs)
+
+
+@derandomized
+@given(st.data())
+def test_reducible_characters_match_fraction_oracle(data):
+    pairs = data.draw(st.sampled_from(flat_triples()))
+    pairs = tuple(data.draw(st.permutations(pairs)))
+    i, j = data.draw(st.permutations(range(3)))[:2]
+    s = SeifertData(moved(pairs, i, j, data.draw(st.integers(-2, 2))))
+    assert reducible_characters(s) == fraction_reducible_characters(s)
+
+
+@st.composite
+def link_triples(draw, product_max=6000):
+    """Three exceptional fibers with e = 0 and a_1*a_2*a_3 <= product_max."""
+    a1, a2 = draw(st.integers(2, 12)), draw(st.integers(2, 16))
+    b1 = draw(st.integers(-9, 9).filter(lambda b: math.gcd(a1, b) == 1))
+    b2 = draw(st.integers(-9, 9).filter(lambda b: math.gcd(a2, b) == 1))
+    third = -(Fraction(b1, a1) + Fraction(b2, a2))
+    assume(third.denominator >= 2 and a1 * a2 * third.denominator <= product_max)
+    return ((a1, b1), (a2, b2), (third.denominator, third.numerator))
+
+
+def projective_outcome(pairs):
+    """Orbit count and twisted fiber, or the error name, for the given pairs."""
+    s = SeifertData(pairs)
+    try:
+        return len(enumerate_projective(s)), _w2_shifts(_exceptional_triple(s).pairs)
+    except DomainError as err:
+        return type(err).__name__
+
+
+@derandomized
+@given(link_triples(), st.data())
+def test_projective_count_invariant_under_moves(pairs, data):
+    base = projective_outcome(pairs)
+    i, j = data.draw(st.permutations(range(3)))[:2]
+    assert projective_outcome(moved(pairs, i, j, 1)) == base
+    # a (1, b) fiber anywhere, compensated on fiber i
+    b = data.draw(st.integers(-3, 3).filter(bool))
+    shifted = list(pairs)
+    shifted[i] = (shifted[i][0], shifted[i][1] - b * shifted[i][0])
+    shifted.insert(data.draw(st.integers(0, 3)), (1, b))
+    assert projective_outcome(tuple(shifted)) == base

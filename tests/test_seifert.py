@@ -18,21 +18,19 @@ from floerchains.errors import (
 )
 from floerchains.seifert import (
     RotationRep,
-    TwistMask,
     _exceptional_triple,
     _mod2_solutions,
     _rotation_sweep,
+    _w2_shifts,
     absorb_trivial_fibers,
     brieskorn_seifert_data,
-    canonical_twist,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
-    projective_su2_classes,
     reducible_characters,
 )
 
-from oracles import enumerate_reducibles
+from oracles import enumerate_reducibles, fraction_reducible_characters
 from su2_oracle import seifert_su2_count
 
 
@@ -67,9 +65,29 @@ def fraction_sweep(pairs, m, parity_shift):
     return out
 
 
-def min_remaining_orbits(s, twist):
+def twisted_classes(s, shifts=None):
+    """SU(2) classes (m, ells) of the reduced triple twisted by the parity shifts,
+    by default those of the canonical twist."""
+    pairs = _exceptional_triple(s).pairs
+    if shifts is None:
+        shifts = _w2_shifts(pairs)
+    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
+
+
+def single_twists(pairs):
+    """Parity shifts of every single-fiber twist, with whether it is a coboundary."""
+    for i in range(len(pairs)):
+        shifts = tuple(int(j == i) for j in range(len(pairs)))
+        yield shifts, bool(_mod2_solutions(pairs, shifts))
+
+
+def relator_signs(shifts):
+    return tuple(-1 if t else 1 for t in shifts)
+
+
+def min_remaining_orbits(s, shifts=None):
     """Reference orbit pairing: repeatedly take the least unpaired class."""
-    su2 = projective_su2_classes(s, twist)
+    su2 = twisted_classes(s, shifts)
     pairs = _exceptional_triple(s).pairs
     (chi,) = [c for c in _mod2_solutions(pairs, (0, 0, 0)) if any(c)]
 
@@ -104,9 +122,10 @@ def random_link_triple(rng, amax=24, product_max=6000):
         if len([c for c in _mod2_solutions(data.pairs, (0, 0, 0)) if any(c)]) != 1:
             continue
         try:
-            return data, canonical_twist(data)
+            _w2_shifts(data.pairs)
         except BadTwistMaskError:
             continue
+        return data
 
 
 class TestEnumerateIrreducibles:
@@ -207,7 +226,10 @@ class TestReducibleCharacters:
             if order == 0 or order % 2 == 0 or prod != lcm * order:
                 continue
             found += 1
-            assert len(reducible_characters(data)) == enumerate_reducibles(data)
+            classes = reducible_characters(data)
+            assert len(classes) == enumerate_reducibles(data)
+            oracle = fraction_reducible_characters(data)
+            assert [c.ells for c in classes] == [c.ells for c in oracle], data
 
     def test_non_flat_rejected(self):
         # (3,1),(3,1),(3,1): |H1| = 27 but lcm * |H1| = 81 != 27
@@ -218,82 +240,79 @@ class TestReducibleCharacters:
 class TestProjective:
     def test_pretzel_link(self):
         data = SeifertData(((2, 1), (3, -1), (6, -1)))
-        twist = TwistMask((1, 1, -1))
-        su2 = projective_su2_classes(data, twist)
-        so3 = enumerate_projective(data, twist)
+        su2 = twisted_classes(data, (0, 0, 1))
+        so3 = enumerate_projective(data)
         assert len(su2) == 2
         assert len(so3) == 1
         assert sorted(c[1] for c in su2) == [(1, 1, 2), (1, 1, 4)]
 
     def test_montesinos_link_2_5_10(self):
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
-        twist = TwistMask((1, 1, -1))
-        so3 = enumerate_projective(data, twist)
+        so3 = enumerate_projective(data)
         assert len(so3) == 3
-        assert len(projective_su2_classes(data, twist)) == 6
-
-    def test_all_plus_twist_rejected(self):
-        data = SeifertData(((2, 1), (3, -1), (6, -1)))
-        with pytest.raises(BadTwistMaskError):
-            enumerate_projective(data, TwistMask((1, 1, 1)))
+        assert len(twisted_classes(data, (0, 0, 1))) == 6
 
     def test_requires_zero_euler_number(self):
         with pytest.raises(NotHomologyS1xS2Error):
-            enumerate_projective(
-                SeifertData(((2, 1), (3, 1), (7, -6))), TwistMask((1, 1, -1))
-            )
+            enumerate_projective(SeifertData(((2, 1), (3, 1), (7, -6))))
 
     def test_su2_count_is_twice_so3_count(self):
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
-        for i in (0, 2):
-            twist = TwistMask(tuple(-1 if j == i else 1 for j in range(3)))
-            su2 = projective_su2_classes(data, twist)
-            so3 = enumerate_projective(data, twist)
-            assert len(su2) == 2 * len(so3)
+        so3 = enumerate_projective(data)
+        checked = []
+        for shifts, coboundary in single_twists(data.pairs):
+            if coboundary:
+                continue
+            checked.append(shifts)
+            assert len(twisted_classes(data, shifts)) == 2 * len(so3)
+        assert checked == [(1, 0, 0), (0, 0, 1)]
 
     def test_twist_choice_does_not_change_counts(self):
-        # masks hitting the same w2 class enumerate the same orbits; the
-        # odd 3-fiber twist is a coboundary here and is rejected instead
+        # twists hitting the same w2 class give the same orbits; the odd
+        # 3-fiber twist is a coboundary here and is rejected instead
         data = SeifertData(((2, 1), (3, -1), (6, -1)))
         counts = []
         rejected = 0
-        for i in range(3):
-            twist = TwistMask(tuple(-1 if j == i else 1 for j in range(3)))
-            try:
-                counts.append(len(enumerate_projective(data, twist)))
-            except BadTwistMaskError:
+        for shifts, coboundary in single_twists(data.pairs):
+            if coboundary:
                 rejected += 1
+                continue
+            counts.append(len(min_remaining_orbits(data, shifts)))
+            assert len(twisted_classes(data, shifts)) == 2 * counts[-1]
         assert counts == [1, 1]
         assert rejected == 1
+        assert len(enumerate_projective(data)) == 1
 
     def test_unpaired_class_raises(self, monkeypatch):
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
-        twist = canonical_twist(data)
-        su2 = projective_su2_classes(data, twist)
-        monkeypatch.setattr(seifert, "_twisted_classes", lambda pairs, shifts: su2[1:])
+        # all six SU(2) classes have m = 1 here; drop the first of them
+        sweep = seifert._rotation_sweep
+        monkeypatch.setattr(
+            seifert, "_rotation_sweep", lambda pairs, m, shifts: sweep(pairs, m, shifts)[1:]
+        )
         with pytest.raises(ArithmeticError, match="not free"):
-            enumerate_projective(data, twist)
+            enumerate_projective(data)
 
     def test_canonical_twist_hits_largest_fiber(self):
-        assert canonical_twist(SeifertData(((2, 1), (3, -1), (6, -1)))).signs == (1, 1, -1)
-        assert canonical_twist(SeifertData(((10, -1), (2, 1), (5, -2)))).signs == (-1, 1, 1)
+        assert _w2_shifts(SeifertData(((2, 1), (3, -1), (6, -1))).pairs) == (0, 0, 1)
+        assert _w2_shifts(SeifertData(((10, -1), (2, 1), (5, -2))).pairs) == (1, 0, 0)
 
     def test_all_odd_fibers_pair_across_central_signs(self):
         # here the sign character is nonzero on the central fiber class, so
         # the two SU(2) classes wear opposite central signs yet form one orbit
         data = SeifertData(((3, 2), (3, -1), (3, -1)))
-        twist = canonical_twist(data)
-        su2 = projective_su2_classes(data, twist)
+        su2 = twisted_classes(data)
         assert sorted(su2) == [(0, (1, 2, 2)), (1, (1, 1, 1))]
-        assert len(enumerate_projective(data, twist)) == 1
-        assert seifert_su2_count(data.pairs, twist.signs) == 2
+        assert len(enumerate_projective(data)) == 1
+        signs = relator_signs(_w2_shifts(data.pairs))
+        assert seifert_su2_count(data.pairs, signs) == 2
 
     def test_oracle_agreement_on_twisted_relations(self):
         for pairs in [((2, 1), (3, -1), (6, -1)), ((2, 1), (5, -2), (10, -1))]:
             data = SeifertData(pairs)
-            twist = canonical_twist(data)
-            mine = len(projective_su2_classes(data, twist))
-            assert mine == seifert_su2_count(absorb_trivial_fibers(data).pairs, twist.signs)
+            reduced = absorb_trivial_fibers(data).pairs
+            mine = len(twisted_classes(data))
+            assert mine == seifert_su2_count(reduced, relator_signs(_w2_shifts(reduced)))
 
 
 class TestNormalizationInvariance:
@@ -372,5 +391,5 @@ class TestRotationSweepOracle:
     def test_pairing_matches_min_remaining_loop(self):
         rng = random.Random(23)
         for _ in range(30):
-            data, twist = random_link_triple(rng)
-            assert enumerate_projective(data, twist) == min_remaining_orbits(data, twist), data
+            data = random_link_triple(rng)
+            assert enumerate_projective(data) == min_remaining_orbits(data), data
