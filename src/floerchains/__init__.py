@@ -29,7 +29,6 @@ from .covers import (
 )
 from .lens import index_plus_one, lattice_counts
 from .seifert import (
-    RotationRep,
     casson,
     enumerate_irreducibles,
     enumerate_projective,
@@ -44,7 +43,6 @@ __all__ = [
     "GradedGenerators",
     "LaurentPoly",
     "LinkComplex",
-    "RotationRep",
     "SeifertData",
     "TorusComplex",
     "branched_cover_h1",

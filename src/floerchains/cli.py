@@ -58,7 +58,7 @@ def parse_pairs(text: str) -> SeifertData:
 
 
 def parse_alexander(text: str) -> LaurentPoly:
-    """Parse `exp:coeff,exp:coeff,...` into a Laurent polynomial."""
+    """Parse `exp:coeff,exp:coeff,...` into a Laurent polynomial; `0:0` is zero."""
     coeffs = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -66,6 +66,8 @@ def parse_alexander(text: str) -> LaurentPoly:
             continue
         e, _, c = chunk.partition(":")
         coeffs[int(e)] = coeffs.get(int(e), 0) + int(c)
+    if not coeffs:
+        raise ValueError("empty Alexander polynomial; expected exp:coeff terms")
     return LaurentPoly(coeffs)
 
 
@@ -195,6 +197,13 @@ def _cmd_torus(args) -> Dict:
     p, q = sorted((args.p, args.q))
     if math.gcd(p, q) != 1 or p < 2:
         raise ValueError(f"torus parameters must be coprime and >= 2, got ({p}, {q})")
+    block = parse_block(args.irreducible_block) if args.irreducible_block else None
+    if block is not None and (p == 2 or p * q % 2):
+        # only the even-strand Seifert route has irreducible generators to pin
+        raise ValueError(
+            f"--irreducible-block applies only to torus knots with an even "
+            f"strand count above 2, got ({p}, {q})"
+        )
     if p == 2:
         gens = two_bridge_generators(q, 1)
         ranks = gens.ranks()
@@ -211,7 +220,6 @@ def _cmd_torus(args) -> Dict:
     if q % 2 == 0:
         data = torus_even_seifert_data(p, q)
         sign = signatures.torus_signature(p, q)
-        block = parse_block(args.irreducible_block) if args.irreducible_block else None
         gens = montesinos_knot_complex(data, sign, block)
         ranks = gens.ranks()
         extras = {"signature": sign}
@@ -288,20 +296,18 @@ def _cmd_montesinos_link(args) -> Dict:
 def _cmd_homology(args) -> Dict:
     extras: Dict = {}
     echo: Dict = {"command": "homology"}
-    if args.alexander:
+    if args.alexander is not None:
         delta = parse_alexander(args.alexander)
         hom = branched_cover_h1(delta)
         echo["alexander"] = args.alexander
         extras["b1"] = hom.b1
         extras["h1_order"] = "infinite" if hom.h1_order is None else hom.h1_order
-    elif args.pairs:
+    else:
         data = parse_pairs(args.pairs)
         order = covers.seifert_h1_order(data)
         echo["pairs"] = list(map(list, data.pairs))
         extras["b1"] = 1 if order == 0 else 0
         extras["h1_order"] = "infinite" if order == 0 else order
-    else:
-        raise ValueError("homology needs --alexander or --pairs")
     if args.lk is not None:
         echo["lk"] = args.lk
         extras["cup_form"] = cup_form(args.lk)
@@ -418,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("homology", help="double-branched-cover homology data")
-    p.add_argument("--alexander", help='branch-set Alexander polynomial "exp:coeff,..."')
-    p.add_argument("--pairs", help="Seifert pairs of the cover")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--alexander", help='branch-set Alexander polynomial "exp:coeff,..."')
+    source.add_argument("--pairs", help="Seifert pairs of the cover")
     p.add_argument("--lk", type=int, help="linking number for the cup form")
 
     p = sub.add_parser("regress", help="run the built-in regression corpus")

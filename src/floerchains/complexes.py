@@ -169,8 +169,8 @@ def montesinos_knot_complex(
         (a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs
     ]
 
-    for idx, cls in enumerate(reducible_characters(reduced), start=1):
-        active = [(lens, ell) for lens, ell in zip(lenses, cls.ells) if ell != 0]
+    for idx, ells in enumerate(reducible_characters(reduced), start=1):
+        active = [(lens, ell) for lens, ell in zip(lenses, ells) if ell != 0]
         if any(lens is None for lens, _ in active):
             warnings.append(
                 f"unknown gradings: reducible class {idx} restricts nontrivially "

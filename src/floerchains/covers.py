@@ -3,14 +3,13 @@
 Betti number and torsion order from the Alexander polynomial at -1, the
 mod-2 cup form and grading-shift parity from the linking number, and the
 first-homology order of Seifert-fibered covers from unnormalized Seifert
-pairs.
+pairs, in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .arith import LaurentPoly
@@ -32,9 +31,6 @@ class SeifertData:
                 raise ValueError(f"fiber multiplicity must be >= 1, got {a}")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"pair ({a}, {b}) is not coprime")
-
-    def euler_number(self) -> Fraction:
-        return sum((Fraction(b, a) for a, b in self.pairs), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -74,12 +70,11 @@ def grading_shift_delta(lk: int) -> int:
 def seifert_h1_order(s: SeifertData) -> int:
     """|H1| of the Seifert-fibered space with the given pairs; 0 encodes b1 > 0.
 
-    Equals |e * a_1 * ... * a_n| with e = sum(b_i / a_i).  A zero Euler
-    number means the space is a homology S^1 x S^2.
+    Equals |e * a_1 * ... * a_n| with e = sum(b_i / a_i), computed in
+    integers as |sum_i b_i * prod_{j != i} a_j| by folding in one pair at a
+    time.  A zero Euler number means the space is a homology S^1 x S^2.
     """
-    total = s.euler_number()
-    for a, _ in s.pairs:
-        total *= a
-    if total.denominator != 1:
-        raise ArithmeticError(f"|H1| = {total} is not an integer")
-    return abs(int(total))
+    total, prod = 0, 1
+    for a, b in s.pairs:
+        total, prod = total * a + b * prod, prod * a
+    return abs(total)

@@ -14,14 +14,15 @@ with prescribed conjugacy classes.  Twisting a relator by a sign flips the
 corresponding parity and enumerates projective classes instead.
 
 All angle comparisons are exact integer comparisons: the angles
-ell_i / a_i are scaled by a_1 * a_2 before they are compared.
+ell_i / a_i are scaled by a_1 * a_2 before they are compared.  A class is
+returned as the plain tuple the sweep produces: (m, ells) for irreducible
+and projective classes, ells alone for reducible ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .arith import mod_inverse, smith_normal_form
@@ -35,14 +36,6 @@ from .errors import (
     NotHomologyS1xS2Error,
     UnsupportedFiberCountError,
 )
-
-
-@dataclass(frozen=True)
-class RotationRep:
-    """A representation class recorded by central sign and rotation numbers."""
-
-    m: int
-    ells: Tuple[int, ...]
 
 
 def absorb_trivial_fibers(s: SeifertData) -> SeifertData:
@@ -103,19 +96,16 @@ def _rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[in
     return out
 
 
-def enumerate_irreducibles(s: SeifertData) -> List[RotationRep]:
+def enumerate_irreducibles(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     """Conjugacy classes of irreducible SU(2) representations, for 3 fibers.
 
-    Sweeps both central signs; the fiberwise parity constraint prunes each
-    branch.  For covers of knots (odd |H1|) these classes coincide with the
-    irreducible SO(3) classes with trivial w2.
+    Each class is its (m, ells) pair: central sign (-1)^m and rotation
+    numbers.  Sweeps both central signs; the fiberwise parity constraint
+    prunes each branch.  For covers of knots (odd |H1|) these classes
+    coincide with the irreducible SO(3) classes with trivial w2.
     """
-    reduced = _exceptional_triple(s)
-    reps = []
-    for m in (0, 1):
-        for ells in _rotation_sweep(reduced.pairs, m, (0, 0, 0)):
-            reps.append(RotationRep(m=m, ells=ells))
-    return reps
+    pairs = _exceptional_triple(s).pairs
+    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, (0, 0, 0))]
 
 
 def casson(p: int, q: int, r: int) -> int:
@@ -166,21 +156,15 @@ def _h1_presentation(pairs) -> List[List[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class ReducibleClass:
-    """A nontrivial character class with its induced per-fiber rotation numbers."""
-
-    ells: Tuple[int, ...]
-
-
-def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
+def reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     """Nontrivial characters of H1 into SO(2), up to inversion.
 
     Characters are computed from the Smith normal form of the relation
     matrix and scanned as integers mod the lcm of its diagonal, one per
-    inverse pair, in lexicographic order of their SNF coordinates.  The
-    induced rotation number on fiber i is the folded numerator of the
-    character value on x_i, a representation of Z/a_i.
+    inverse pair, in lexicographic order of their SNF coordinates.  Each
+    class is returned as its induced rotation numbers: on fiber i the
+    folded numerator of the character value on x_i, a representation of
+    Z/a_i.
     """
     reduced = absorb_trivial_fibers(s)
     pairs = reduced.pairs
@@ -204,7 +188,7 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
     # the character with coordinates combo is sum_j cols[i][j]*combo[j] / L
     lcm = math.lcm(*diag)
     cols = [[v[i][j] * (lcm // diag[j]) for j in range(n + 1)] for i in range(n + 1)]
-    classes: List[ReducibleClass] = []
+    classes = []
     for combo in itertools.product(*(range(dj) for dj in diag)):
         # odd order: no character is its own inverse, so keep the smaller of
         # combo and its negation; the first of each pair in the scan is kept
@@ -219,7 +203,7 @@ def reducible_characters(s: SeifertData) -> List[ReducibleClass]:
                 raise ArithmeticError(f"character value {w}/{lcm} is not in (1/{a})Z")
             k = w * a // lcm
             ells.append(min(k, a - k))
-        classes.append(ReducibleClass(ells=tuple(ells)))
+        classes.append(tuple(ells))
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes
@@ -258,14 +242,15 @@ def _w2_shifts(pairs) -> Tuple[int, ...]:
     raise BadTwistMaskError("no single-fiber twist represents the nontrivial w2")
 
 
-def enumerate_projective(s: SeifertData) -> List[RotationRep]:
+def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     """SO(3) classes with nontrivial w2, one per orbit of the free sign action.
 
     The cover must be a homology S^1 x S^2 with three exceptional fibers.
     SU(2) classes of the relations twisted by _w2_shifts come from the
     rotation sweep; the nontrivial character of H1(.; Z/2) acts on them by
     ell_i -> a_i - ell_i on the fibers it hits (and flips the central sign
-    when it is nonzero on h), and orbits have size two.
+    when it is nonzero on h), and orbits have size two.  Each orbit is
+    returned as the (m, ells) pair of its first member in sweep order.
     """
     order = seifert_h1_order(s)
     if order != 0:
@@ -300,5 +285,5 @@ def enumerate_projective(s: SeifertData) -> List[RotationRep]:
             raise ArithmeticError(f"sign action is not free at {cls}")
         remaining.remove(cls)
         remaining.discard(other)
-        orbits.append(RotationRep(m=cls[0], ells=cls[1]))
+        orbits.append(cls)
     return orbits

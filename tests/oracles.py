@@ -8,6 +8,8 @@
 - The torus-knot Alexander polynomial by exact polynomial division; it feeds
   ``casson_from_alexander``.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
+- The Seifert |H1| as |e * a_1 * ... * a_n| with the Euler number e summed
+  in ``Fraction``s.
 - The reducible character classes with ``Fraction`` values, one class per
   inverse pair kept through a dict of seen values.
 """
@@ -29,7 +31,7 @@ from floerchains.errors import (
     NotCoprimeError,
 )
 from floerchains.lens import LatticeCounts
-from floerchains.seifert import ReducibleClass, _h1_presentation, absorb_trivial_fibers
+from floerchains.seifert import _h1_presentation, absorb_trivial_fibers
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -239,6 +241,16 @@ def two_bridge_complex(p: int, q: int) -> ChainRanks:
     return ranks
 
 
+def fraction_h1_order(s: SeifertData) -> int:
+    """|H1| of the Seifert space as |e * a_1 * ... * a_n| with e = sum(b_i / a_i)."""
+    total = sum((Fraction(b, a) for a, b in s.pairs), Fraction(0))
+    for a, _ in s.pairs:
+        total *= a
+    if total.denominator != 1:
+        raise ArithmeticError(f"|H1| = {total} is not an integer")
+    return abs(int(total))
+
+
 def enumerate_reducibles(s: SeifertData) -> int:
     """Number of nontrivial reducible SO(3) classes: (|H1| - 1) / 2."""
     order = seifert_h1_order(s)
@@ -249,7 +261,7 @@ def enumerate_reducibles(s: SeifertData) -> int:
     return (order - 1) // 2
 
 
-def fraction_reducible_characters(s: SeifertData) -> List[ReducibleClass]:
+def fraction_reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     """Nontrivial characters of H1 into SO(2) up to inversion, with Fraction values.
 
     Every element of the Smith-form dual is evaluated on the generators as
@@ -275,7 +287,7 @@ def fraction_reducible_characters(s: SeifertData) -> List[ReducibleClass]:
         )
 
     seen: Dict[Tuple[Fraction, ...], None] = {}
-    classes: List[ReducibleClass] = []
+    classes = []
     for combo in itertools.product(*(range(dj) for dj in diag)):
         if not any(combo):
             continue
@@ -300,7 +312,7 @@ def fraction_reducible_characters(s: SeifertData) -> List[ReducibleClass]:
                 raise ArithmeticError(f"character value {w} is not in (1/{a})Z")
             k = int(scaled) % a
             ells.append(min(k, a - k))
-        classes.append(ReducibleClass(ells=tuple(ells)))
+        classes.append(tuple(ells))
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes

@@ -69,7 +69,7 @@ def test_criterion_3_montesinos_knot_pipeline():
     assert seifert_h1_order(data) == 3
     classes = reducible_characters(data)
     assert len(classes) == enumerate_reducibles(data) == 1
-    assert classes[0].ells == (0, 1, 1)
+    assert classes[0] == (0, 1, 1)
     assert index_plus_one(3, 2, 2, 1) - 1 == 1
     gens = montesinos_knot_complex(data, -6, (2, 0, 0, 2))
     special = next(e for e in gens.entries if e.origin == "special")

@@ -58,6 +58,8 @@ class TestParsing:
     def test_alexander(self):
         delta = parse_alexander("-1:1,0:-1,1:1")
         assert delta(1) == 1 and delta(-1) == -3
+        # a split link's Alexander polynomial is 0
+        assert parse_alexander("0:0")(-1) == 0
 
 
 class TestTwoBridgeCommand:
@@ -98,7 +100,10 @@ class TestTwoBridgeCommand:
         [
             ["two-bridge", "-p", "4", "-q", "1"],
             ["montesinos-knot", "--pairs", "2,x", "--signature=0"],
-            ["homology"],
+            ["homology", "--alexander="],
+            ["homology", "--pairs="],
+            ["torus", "3", "5", "--irreducible-block", "2,0,0,2"],
+            ["torus", "2", "5", "--irreducible-block", "9,9"],
         ],
         ids=" ".join,
     )
@@ -240,6 +245,20 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["two-bridge", "-p", "5"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology"],
+            ["homology", "--alexander=-1:1,0:-1,1:1", "--pairs=2,1;3,1;5,-4"],
+        ],
+        ids=" ".join,
+    )
+    def test_homology_takes_exactly_one_source(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--json"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 SAMPLE_COMMANDS = [

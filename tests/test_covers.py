@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -78,11 +77,6 @@ class TestSeifertH1Order:
             moved[i] = (pairs[i][0], pairs[i][1] + pairs[i][0])
             moved.append((1, -1))
             assert seifert_h1_order(SeifertData(tuple(moved))) == seifert_h1_order(data)
-
-    def test_fractional_order_raises(self, monkeypatch):
-        monkeypatch.setattr(SeifertData, "euler_number", lambda self: Fraction(1, 7))
-        with pytest.raises(ArithmeticError):
-            seifert_h1_order(SeifertData(((2, 1), (3, 1))))
 
     def test_validation(self):
         with pytest.raises(ValueError):

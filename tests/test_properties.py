@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
-from floerchains.covers import SeifertData
+from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import DomainError
 from floerchains.lens import index_plus_one, lattice_counts
 from floerchains.seifert import (
@@ -21,7 +21,12 @@ from floerchains.seifert import (
 )
 from floerchains.signatures import two_bridge_signature
 
-from oracles import fraction_reducible_characters, goeritz_signature, walk_counts
+from oracles import (
+    fraction_h1_order,
+    fraction_reducible_characters,
+    goeritz_signature,
+    walk_counts,
+)
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -76,6 +81,21 @@ def test_two_bridge_signature_flips_under_mirror(pair):
 )
 def test_floor_sum_matches_brute_force(n, m, a, b):
     assert floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n))
+
+
+@st.composite
+def seifert_pairs(draw, a_max=40, b_max=60):
+    """A coprime pair (a, b) with 1 <= a <= a_max, a trivial fiber a = 1 half the time."""
+    a = draw(st.one_of(st.just(1), st.integers(2, a_max)))
+    b = draw(st.integers(-b_max, b_max).filter(lambda b: math.gcd(a, b) == 1))
+    return a, b
+
+
+@derandomized
+@given(st.lists(seifert_pairs(), min_size=1, max_size=5))
+def test_seifert_h1_order_matches_fraction_oracle(pairs):
+    s = SeifertData(tuple(pairs))
+    assert seifert_h1_order(s) == fraction_h1_order(s)
 
 
 @functools.cache

@@ -17,7 +17,6 @@ from floerchains.errors import (
     UnsupportedFiberCountError,
 )
 from floerchains.seifert import (
-    RotationRep,
     _exceptional_triple,
     _mod2_solutions,
     _rotation_sweep,
@@ -105,8 +104,8 @@ def min_remaining_orbits(s, shifts=None):
             raise ArithmeticError(f"sign action is not free at {cls}")
         remaining.remove(cls)
         remaining.discard(other)
-        orbits.append(RotationRep(m=cls[0], ells=cls[1]))
-    return sorted(orbits, key=lambda rep: (rep.m, rep.ells))
+        orbits.append(cls)
+    return sorted(orbits)
 
 
 def random_link_triple(rng, amax=24, product_max=6000):
@@ -131,8 +130,8 @@ def random_link_triple(rng, amax=24, product_max=6000):
 class TestEnumerateIrreducibles:
     def test_brieskorn_2_3_7(self):
         reps = enumerate_irreducibles(SeifertData(((2, 1), (3, 1), (7, -6))))
-        assert sorted(r.ells for r in reps) == [(1, 1, 2), (1, 1, 4)]
-        assert all(r.m == 1 for r in reps)
+        assert sorted(ells for _, ells in reps) == [(1, 1, 2), (1, 1, 4)]
+        assert all(m == 1 for m, _ in reps)
 
     def test_brieskorn_2_3_5(self):
         reps = enumerate_irreducibles(SeifertData(((2, 1), (3, 1), (5, -4))))
@@ -186,7 +185,7 @@ class TestCasson:
             casson(2, 4, 5)
 
     def test_odd_count_raises(self, monkeypatch):
-        reps = [RotationRep(m=1, ells=(1, 1, 2 * k)) for k in (1, 2, 3)]
+        reps = [(1, (1, 1, 2 * k)) for k in (1, 2, 3)]
         monkeypatch.setattr(seifert, "enumerate_irreducibles", lambda data: reps)
         with pytest.raises(ArithmeticError):
             casson(2, 3, 7)
@@ -213,7 +212,7 @@ class TestReducibleCharacters:
     def test_example_class(self):
         classes = reducible_characters(SeifertData(((2, -1), (3, 1), (3, 1))))
         assert len(classes) == 1
-        assert classes[0].ells == (0, 1, 1)
+        assert classes[0] == (0, 1, 1)
 
     def test_count_matches_enumerate(self):
         rng = random.Random(4)
@@ -229,7 +228,7 @@ class TestReducibleCharacters:
             classes = reducible_characters(data)
             assert len(classes) == enumerate_reducibles(data)
             oracle = fraction_reducible_characters(data)
-            assert [c.ells for c in classes] == [c.ells for c in oracle], data
+            assert classes == oracle, data
 
     def test_non_flat_rejected(self):
         # (3,1),(3,1),(3,1): |H1| = 27 but lcm * |H1| = 81 != 27

@@ -67,3 +67,33 @@ def test_exports_have_a_shipping_caller():
                 used.add(node.attr)
     unused = {name for name in exported if name.rpartition(".")[2] not in used}
     assert sorted(unused) == []
+
+
+def _is_dataclass(node):
+    return any(
+        getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass"
+        or getattr(getattr(deco, "func", None), "id", None) == "dataclass"
+        for deco in node.decorator_list
+    )
+
+
+def test_dataclass_fields_are_read():
+    # a field nothing in the package reads is dead weight on every instance;
+    # LatticeCounts.k2 is exempt because perfbench/layers.py reads it to
+    # size the lens window
+    exempt = {"LatticeCounts.k2"}
+    fields = set()
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update(
+                    f"{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {name for name in fields if name.rpartition(".")[2] not in read}
+    assert sorted(unread - exempt) == []
