@@ -5,7 +5,7 @@ vectors of the instanton chain complexes of knots and two-component links
 whose double branched covers are lens spaces or Seifert-fibered manifolds.
 """
 
-from .arith import LaurentPoly, mod_inverse
+from .arith import mod_inverse
 from .complexes import (
     ChainRanks,
     GradedGenerators,
@@ -20,7 +20,6 @@ from .complexes import (
     two_bridge_generators,
 )
 from .covers import (
-    CoverHomology,
     SeifertData,
     branched_cover_h1,
     cup_form,
@@ -28,20 +27,14 @@ from .covers import (
     seifert_h1_order,
 )
 from .lens import index_plus_one, lattice_counts
-from .seifert import (
-    casson,
-    enumerate_irreducibles,
-    enumerate_projective,
-)
+from .seifert import casson, enumerate_projective
 from .signatures import torus_signature, two_bridge_signature
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainRanks",
-    "CoverHomology",
     "GradedGenerators",
-    "LaurentPoly",
     "LinkComplex",
     "SeifertData",
     "TorusComplex",
@@ -49,7 +42,6 @@ __all__ = [
     "casson",
     "casson_from_alexander",
     "cup_form",
-    "enumerate_irreducibles",
     "enumerate_projective",
     "euler_characteristic",
     "grading_shift_delta",

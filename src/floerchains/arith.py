@@ -1,18 +1,18 @@
-"""Exact integer and rational primitives shared by all other modules.
+"""Exact integer primitives shared by all other modules.
 
-Rationals are plain ``fractions.Fraction`` values throughout the package:
-they already enforce gcd(|num|, den) = 1 and den > 0.  This module adds the
-handful of exact routines the topology pipelines need: modular inverses,
-floor sums, Laurent polynomials and Smith normal form.  The Goeritz-form
-oracle of the two-bridge signature (even continued fractions and exact
-signatures of symmetric integer matrices) lives in ``tests/oracles.py``.
+The package computes in integers only: no ``Fraction`` is built anywhere,
+and a Laurent polynomial is a plain {exponent: coefficient} dict.  This
+module holds the handful of exact routines the topology pipelines need:
+modular inverses, floor sums, the second derivative at 1 of a Laurent
+polynomial and Smith normal form.  The Goeritz-form oracle of the
+two-bridge signature (even continued fractions and exact signatures of
+symmetric integer matrices) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from .errors import NotCoprimeError, NotNormalizedError
 
@@ -51,80 +51,20 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = y_max // m, y_max % m, a, m
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with integer coefficients.
-
-    Stored as a map from exponent to nonzero coefficient, so the widely
-    spread-out Alexander polynomials of torus knots stay cheap.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: Dict[int, int] = {}
-        for e, c in items:
-            acc[int(e)] = acc.get(int(e), 0) + int(c)
-        self._coeffs = {e: c for e, c in acc.items() if c != 0}
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    @property
-    def coeffs(self) -> Dict[int, int]:
-        return dict(self._coeffs)
-
-    def __call__(self, x):
-        """Exact evaluation; x may be an int or Fraction (nonzero for e < 0)."""
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * Fraction(x) ** e
-        if total.denominator == 1:
-            return int(total)
-        return total
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
-    def is_symmetric(self) -> bool:
-        """True when p(t) = p(1/t)."""
-        return all(self._coeffs.get(-e) == c for e, c in self._coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "LaurentPoly(0)"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            term = "t" if e == 1 else "1" if e == 0 else f"t^{e}"
-            if e != 0 and abs(c) != 1:
-                term = f"{abs(c)}*{term}"
-            elif e == 0:
-                term = str(abs(c))
-            parts.append(("- " if c < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return "LaurentPoly(" + (text[2:] if text.startswith("+ ") else "-" + text[2:]) + ")"
-
-
-def second_derivative_at_one(delta: LaurentPoly) -> int:
+def second_derivative_at_one(delta: Mapping[int, int]) -> int:
     """Second derivative at t = 1 of a normalized symmetric Laurent polynomial.
 
-    Requires delta(1) = 1 and delta(t) = delta(1/t); equals
-    sum_k c_k * k * (k - 1), which is even for every symmetric input.
+    The polynomial is an {exponent: coefficient} map; a missing exponent and
+    a zero coefficient mean the same.  Requires delta(1) = 1 and
+    delta(t) = delta(1/t); equals sum_k c_k * k * (k - 1), which is even for
+    every symmetric input.
     """
-    if delta(1) != 1:
-        raise NotNormalizedError(f"delta(1) = {delta(1)}, expected 1")
-    if not delta.is_symmetric():
+    at_one = sum(delta.values())
+    if at_one != 1:
+        raise NotNormalizedError(f"delta(1) = {at_one}, expected 1")
+    if any(delta.get(-e, 0) != c for e, c in delta.items()):
         raise NotNormalizedError("delta(t) != delta(1/t)")
-    return sum(c * e * (e - 1) for e, c in delta.coeffs.items())
+    return sum(c * e * (e - 1) for e, c in delta.items())
 
 
 def _identity(n: int) -> List[List[int]]:

@@ -24,7 +24,6 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import covers, signatures
-from .arith import LaurentPoly
 from .complexes import (
     ChainRanks,
     GradedGenerators,
@@ -57,8 +56,8 @@ def parse_pairs(text: str) -> SeifertData:
     return SeifertData(tuple(pairs))
 
 
-def parse_alexander(text: str) -> LaurentPoly:
-    """Parse `exp:coeff,exp:coeff,...` into a Laurent polynomial; `0:0` is zero."""
+def parse_alexander(text: str) -> Dict[int, int]:
+    """Parse `exp:coeff,exp:coeff,...` into an {exponent: coefficient} dict; `0:0` is zero."""
     coeffs = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -68,7 +67,7 @@ def parse_alexander(text: str) -> LaurentPoly:
         coeffs[int(e)] = coeffs.get(int(e), 0) + int(c)
     if not coeffs:
         raise ValueError("empty Alexander polynomial; expected exp:coeff terms")
-    return LaurentPoly(coeffs)
+    return coeffs
 
 
 def parse_block(text: str) -> List[int]:
@@ -172,7 +171,7 @@ def _cmd_brieskorn(args) -> Dict:
 
 def _cmd_montesinos_knot(args) -> Dict:
     data = parse_pairs(args.pairs)
-    block = parse_block(args.irreducible_block) if args.irreducible_block else None
+    block = None if args.irreducible_block is None else parse_block(args.irreducible_block)
     gens = montesinos_knot_complex(data, args.signature, block)
     ranks = gens.ranks()
     extras = {"h1_order": covers.seifert_h1_order(data)}
@@ -197,7 +196,7 @@ def _cmd_torus(args) -> Dict:
     p, q = sorted((args.p, args.q))
     if math.gcd(p, q) != 1 or p < 2:
         raise ValueError(f"torus parameters must be coprime and >= 2, got ({p}, {q})")
-    block = parse_block(args.irreducible_block) if args.irreducible_block else None
+    block = None if args.irreducible_block is None else parse_block(args.irreducible_block)
     if block is not None and (p == 2 or p * q % 2):
         # only the even-strand Seifert route has irreducible generators to pin
         raise ValueError(
@@ -261,7 +260,7 @@ def _cmd_montesinos_link(args) -> Dict:
     }
     if result.split:
         extras["split"] = list(result.split)
-    if args.alexander:
+    if args.alexander is not None:
         lam = casson_from_alexander(parse_alexander(args.alexander))
         extras["casson_from_alexander"] = lam
         if -lam != result.so3_classes:
@@ -297,17 +296,15 @@ def _cmd_homology(args) -> Dict:
     extras: Dict = {}
     echo: Dict = {"command": "homology"}
     if args.alexander is not None:
-        delta = parse_alexander(args.alexander)
-        hom = branched_cover_h1(delta)
+        order = branched_cover_h1(parse_alexander(args.alexander))
         echo["alexander"] = args.alexander
-        extras["b1"] = hom.b1
-        extras["h1_order"] = "infinite" if hom.h1_order is None else hom.h1_order
     else:
         data = parse_pairs(args.pairs)
         order = covers.seifert_h1_order(data)
         echo["pairs"] = list(map(list, data.pairs))
-        extras["b1"] = 1 if order == 0 else 0
-        extras["h1_order"] = "infinite" if order == 0 else order
+    # an order of 0 encodes the infinite H1 of a cover with b1 = 1
+    extras["b1"] = 1 if order == 0 else 0
+    extras["h1_order"] = "infinite" if order == 0 else order
     if args.lk is not None:
         echo["lk"] = args.lk
         extras["cup_form"] = cup_form(args.lk)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .arith import LaurentPoly, mod_inverse, second_derivative_at_one
+from .arith import mod_inverse, second_derivative_at_one
 from .covers import SeifertData, seifert_h1_order
 from .errors import (
     FlatCobordismError,
@@ -24,8 +24,8 @@ from .errors import (
 from .lens import index_plus_one
 from .seifert import (
     _exceptional_triple,
+    _irreducible_count,
     casson,
-    enumerate_irreducibles,
     enumerate_projective,
     reducible_characters,
 )
@@ -185,8 +185,7 @@ def montesinos_knot_complex(
         entries.append(GeneratorEntry(mu, 1, REDUCIBLE, idx))
         entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, idx))
 
-    irreducibles = enumerate_irreducibles(reduced)
-    k = len(irreducibles)
+    k = _irreducible_count(reduced.pairs)
     if irreducible_block is not None:
         block = tuple(int(x) for x in irreducible_block)
         if len(block) != 4 or any(x < 0 for x in block):
@@ -353,11 +352,12 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
     )
 
 
-def casson_from_alexander(delta: LaurentPoly) -> int:
+def casson_from_alexander(delta: Mapping[int, int]) -> int:
     """Casson invariant of the zero-surgery from the surgery knot's Alexander polynomial.
 
-    Equal to minus half the second derivative at 1 of the normalized
-    symmetric polynomial.
+    The polynomial is an {exponent: coefficient} dict.  The invariant equals
+    minus half the second derivative at 1 of the normalized symmetric
+    polynomial.
     """
     second = second_derivative_at_one(delta)
     if second % 2:

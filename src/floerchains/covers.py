@@ -1,18 +1,16 @@
 """Homological data of double branched covers.
 
-Betti number and torsion order from the Alexander polynomial at -1, the
-mod-2 cup form and grading-shift parity from the linking number, and the
-first-homology order of Seifert-fibered covers from unnormalized Seifert
-pairs, in integer arithmetic.
+First-homology orders, with 0 for an infinite group (b1 = 1): from the
+Alexander polynomial at -1, and of Seifert-fibered covers from unnormalized
+Seifert pairs, in integer arithmetic.  Also the mod-2 cup form and
+grading-shift parity from the linking number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from .arith import LaurentPoly
+from typing import Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,28 +31,15 @@ class SeifertData:
                 raise ValueError(f"pair ({a}, {b}) is not coprime")
 
 
-@dataclass(frozen=True)
-class CoverHomology:
-    """b1 and |H1| of a double branched cover; h1_order None means infinite."""
+def branched_cover_h1(delta: Mapping[int, int]) -> int:
+    """|H1| of the double cover from the branch set's Alexander polynomial; 0 encodes b1 = 1.
 
-    b1: int
-    h1_order: Optional[int]
-
-    def __post_init__(self):
-        if (self.b1 == 1) != (self.h1_order is None):
-            raise ValueError("b1 = 1 exactly when the order marker is infinite")
-
-
-def branched_cover_h1(delta: LaurentPoly) -> CoverHomology:
-    """Betti number and torsion of the double cover from the branch set's Alexander polynomial.
-
-    The cover has b1 = 1 when delta(-1) = 0 and otherwise has finite first
-    homology of order |delta(-1)| (the determinant of the branch set).
+    The polynomial is an {exponent: coefficient} map.  The cover has
+    b1 = 1 when delta(-1) = 0 and otherwise has finite first homology of
+    order |delta(-1)| (the determinant of the branch set), so the result is
+    |delta(-1)| either way, in the encoding of ``seifert_h1_order``.
     """
-    value = delta(-1)
-    if value == 0:
-        return CoverHomology(b1=1, h1_order=None)
-    return CoverHomology(b1=0, h1_order=abs(int(value)))
+    return abs(sum(-c if e % 2 else c for e, c in delta.items()))
 
 
 def cup_form(lk: int) -> int:

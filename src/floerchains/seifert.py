@@ -14,16 +14,18 @@ with prescribed conjugacy classes.  Twisting a relator by a sign flips the
 corresponding parity and enumerates projective classes instead.
 
 All angle comparisons are exact integer comparisons: the angles
-ell_i / a_i are scaled by a_1 * a_2 before they are compared.  A class is
-returned as the plain tuple the sweep produces: (m, ells) for irreducible
-and projective classes, ells alone for reducible ones.
+ell_i / a_i are scaled by a_1 * a_2 before they are compared.  For each
+(ell_1, ell_2) the admissible ell_3 form one interval; irreducible classes
+are only counted, by summing the interval lengths, while projective orbits
+are returned as the (m, ells) tuple of their first member and reducible
+classes as their ells tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .arith import mod_inverse, smith_normal_form
 from .covers import SeifertData, seifert_h1_order
@@ -63,8 +65,10 @@ def _exceptional_triple(s: SeifertData) -> SeifertData:
     return reduced
 
 
-def _rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Rotation-number tuples for central sign (-1)^m and given relator parities.
+def _rotation_intervals(
+    pairs, m: int, parity_shift: Sequence[int]
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Rotation-number sweep for central sign (-1)^m and given relator parities.
 
     Each ell_i runs over 0 < ell_i < a_i with ell_i = m*b_i + t_i (mod 2),
     and the tuple must satisfy the strict spherical triangle condition
@@ -74,15 +78,15 @@ def _rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[in
 
         floor(a_3*|x_1 - x_2| / d) + 1 <= ell_3 <= floor((a_3*min(s, 2d - s) - 1) / d),
 
-    a range inside [1, a_3 - 1] that is emitted directly with the required
-    parity.  Tuples come in lexicographic order, and the cost is
-    O(a_1*a_2 + output) instead of O(a_1*a_2*a_3).
+    a range inside [1, a_3 - 1].  Yields (ell_1, ell_2, lo, hi) for every
+    (ell_1, ell_2) in lexicographic order, with lo moved up to the required
+    parity: the admissible ell_3 are range(lo, hi + 1, 2), possibly empty.
+    The sweep takes O(a_1*a_2) steps whatever the number of tuples.
     """
     (a1, b1), (a2, b2), (a3, b3) = pairs
     t1, t2, t3 = parity_shift
     want3 = (m * b3 + t3) % 2
     d = a1 * a2
-    out = []
     for ell1 in range(2 - (m * b1 + t1) % 2, a1, 2):
         x1 = ell1 * a2
         for ell2 in range(2 - (m * b2 + t2) % 2, a2, 2):
@@ -90,22 +94,22 @@ def _rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[in
             s = x1 + x2
             lo = a3 * abs(x1 - x2) // d + 1
             hi = (a3 * min(s, 2 * d - s) - 1) // d
-            lo += (lo - want3) % 2
-            for ell3 in range(lo, hi + 1, 2):
-                out.append((ell1, ell2, ell3))
-    return out
+            yield ell1, ell2, lo + (lo - want3) % 2, hi
 
 
-def enumerate_irreducibles(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Conjugacy classes of irreducible SU(2) representations, for 3 fibers.
+def _irreducible_count(pairs) -> int:
+    """Number of irreducible SU(2) classes of three exceptional fibers.
 
-    Each class is its (m, ells) pair: central sign (-1)^m and rotation
-    numbers.  Sweeps both central signs; the fiberwise parity constraint
-    prunes each branch.  For covers of knots (odd |H1|) these classes
-    coincide with the irreducible SO(3) classes with trivial w2.
+    Sums the lengths of the untwisted sweep's ell_3 intervals over both
+    central signs, in O(a_1*a_2) time and constant memory.  For covers of
+    knots (odd |H1|) these classes coincide with the irreducible SO(3)
+    classes with trivial w2.
     """
-    pairs = _exceptional_triple(s).pairs
-    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, (0, 0, 0))]
+    return sum(
+        len(range(lo, hi + 1, 2))
+        for m in (0, 1)
+        for _, _, lo, hi in _rotation_intervals(pairs, m, (0, 0, 0))
+    )
 
 
 def casson(p: int, q: int, r: int) -> int:
@@ -125,8 +129,7 @@ def casson(p: int, q: int, r: int) -> int:
         # a trivial multiplicity makes the sphere a union of at most two
         # fibered solid tori, i.e. S^3 or a lens space: no irreducibles
         return 0
-    data = brieskorn_seifert_data(p, q, r)
-    count = len(enumerate_irreducibles(data))
+    count = _irreducible_count(brieskorn_seifert_data(p, q, r).pairs)
     if count % 2:
         raise ArithmeticError(f"odd irreducible count {count} for ({p}, {q}, {r})")
     return -count // 2
@@ -274,7 +277,12 @@ def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
 
     # the sweep emits (m, ells) in lexicographic order, so naming each orbit
     # by its first member lists the orbits in that order too
-    su2 = [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
+    su2 = [
+        (m, (ell1, ell2, ell3))
+        for m in (0, 1)
+        for ell1, ell2, lo, hi in _rotation_intervals(pairs, m, shifts)
+        for ell3 in range(lo, hi + 1, 2)
+    ]
     remaining = set(su2)
     orbits = []
     for cls in su2:

@@ -5,13 +5,17 @@
   integer matrix.
 - The lens lattice counts by a walk over the j-range and by a double loop
   over the whole rectangle.
-- The torus-knot Alexander polynomial by exact polynomial division; it feeds
-  ``casson_from_alexander``.
+- The torus-knot Alexander polynomial, as an {exponent: coefficient} dict,
+  by exact polynomial division; it feeds ``casson_from_alexander``.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
 - The Seifert |H1| as |e * a_1 * ... * a_n| with the Euler number e summed
   in ``Fraction``s.
 - The reducible character classes with ``Fraction`` values, one class per
   inverse pair kept through a dict of seen values.
+- The rotation sweep over the whole parity grid with ``Fraction`` angles;
+  the shipping sweep's tuples, its ell_3 intervals expanded, and the list of
+  irreducible classes they make (the shipping code only counts them).
+- The Casson invariant of a Brieskorn sphere from Dedekind sums.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from floerchains.arith import LaurentPoly, mod_inverse, smith_normal_form
+from floerchains.arith import mod_inverse, smith_normal_form
 from floerchains.complexes import ChainRanks, two_bridge_generators
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
@@ -31,7 +35,12 @@ from floerchains.errors import (
     NotCoprimeError,
 )
 from floerchains.lens import LatticeCounts
-from floerchains.seifert import _h1_presentation, absorb_trivial_fibers
+from floerchains.seifert import (
+    _exceptional_triple,
+    _h1_presentation,
+    _rotation_intervals,
+    absorb_trivial_fibers,
+)
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -185,50 +194,55 @@ def walk_counts(p: int, q: int, ell: int) -> LatticeCounts:
     return LatticeCounts(k2=k2, n1=n1, n2=n2)
 
 
-def torus_alexander(p: int, q: int) -> LaurentPoly:
+def _poly_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _cyclic(n: int) -> List[int]:
+    """Coefficients of t^n - 1 in increasing degree."""
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def _poly_div(num: Sequence[int], den: Sequence[int]) -> List[int]:
+    """Exact quotient of two integer polynomials in increasing degree."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = num[k + len(den) - 1]
+        if c % den[-1]:
+            raise ArithmeticError(f"coefficient {c} is not divisible by {den[-1]}")
+        f = c // den[-1]
+        out[k] = f
+        for i, d in enumerate(den):
+            num[k + i] -= f * d
+    if any(num):
+        raise ArithmeticError(f"nonzero remainder {num} in exact division")
+    return out
+
+
+def torus_alexander(p: int, q: int) -> Dict[int, int]:
     """Symmetrized Alexander polynomial of the torus knot on (p, q).
 
     Computed by exact polynomial division of
     (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and centered so that the
-    result is symmetric with value 1 at t = 1.
+    result is symmetric with value 1 at t = 1.  Returned as an
+    {exponent: coefficient} dict of the nonzero coefficients.
     """
     if math.gcd(p, q) != 1:
         raise NotCoprimeError(f"gcd({p}, {q}) != 1")
     if p < 1 or q < 1:
         raise ValueError(f"parameters must be positive, got ({p}, {q})")
     if p == 1 or q == 1:
-        return LaurentPoly.constant(1)
-
-    def poly_mul(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-        return out
-
-    def cyclic(n):
-        return [-1] + [0] * (n - 1) + [1]
-
-    def poly_div(num, den):
-        num = num[:]
-        out = [0] * (len(num) - len(den) + 1)
-        for k in range(len(out) - 1, -1, -1):
-            c = num[k + len(den) - 1]
-            if c % den[-1]:
-                raise ArithmeticError(f"coefficient {c} is not divisible by {den[-1]}")
-            f = c // den[-1]
-            out[k] = f
-            for i, d in enumerate(den):
-                num[k + i] -= f * d
-        if any(num):
-            raise ArithmeticError(f"nonzero remainder {num} in exact division")
-        return out
-
-    numerator = poly_mul(cyclic(p * q), cyclic(1))
-    quotient = poly_div(poly_div(numerator, cyclic(p)), cyclic(q))
+        return {0: 1}
+    numerator = _poly_mul(_cyclic(p * q), _cyclic(1))
+    quotient = _poly_div(_poly_div(numerator, _cyclic(p)), _cyclic(q))
     genus_shift = (p - 1) * (q - 1) // 2
-    delta = LaurentPoly(enumerate(quotient)).shift(-genus_shift)
-    if delta(1) != 1 or not delta.is_symmetric():
+    delta = {e - genus_shift: c for e, c in enumerate(quotient) if c}
+    if sum(delta.values()) != 1 or any(delta.get(-e, 0) != c for e, c in delta.items()):
         raise ArithmeticError(f"torus Alexander polynomial of ({p}, {q}) is not normalized")
     return delta
 
@@ -316,3 +330,67 @@ def fraction_reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes
+
+
+def fraction_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Rotation sweep over the whole parity grid, each tuple tested with Fractions."""
+    ranges = []
+    for (a, b), t in zip(pairs, parity_shift):
+        want = (m * b + t) % 2
+        ranges.append([ell for ell in range(1, a) if ell % 2 == want])
+    out = []
+    for ells in itertools.product(*ranges):
+        f1, f2, f3 = (Fraction(ell, a) for ell, (a, _) in zip(ells, pairs))
+        # the strict spherical triangle condition on angles pi*f1, pi*f2, pi*f3
+        if abs(f1 - f2) < f3 < min(f1 + f2, 2 - f1 - f2):
+            out.append(ells)
+    return out
+
+
+def rotation_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Every rotation-number tuple of the sweep, its ell_3 intervals expanded in order."""
+    return [
+        (ell1, ell2, ell3)
+        for ell1, ell2, lo, hi in _rotation_intervals(pairs, m, parity_shift)
+        for ell3 in range(lo, hi + 1, 2)
+    ]
+
+
+def enumerate_irreducibles(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Irreducible SU(2) classes of three exceptional fibers as a list of (m, ells).
+
+    Central sign (-1)^m and rotation numbers, over both central signs; the
+    shipping code only counts them (``seifert._irreducible_count``).
+    """
+    pairs = _exceptional_triple(s).pairs
+    return [(m, ells) for m in (0, 1) for ells in rotation_sweep(pairs, m, (0, 0, 0))]
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    return sum(
+        (_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k)),
+        Fraction(0),
+    )
+
+
+def brieskorn_casson(p: int, q: int, r: int) -> int:
+    """Casson invariant of the Brieskorn sphere Sigma(p, q, r) from Dedekind sums.
+
+    lambda = -1/8 + (1 - (pqr)^2 + (qr)^2 + (pr)^2 + (pq)^2) / (24pqr)
+             - (s(qr, p) + s(pr, q) + s(pq, r)) / 2
+    (Fukuhara-Matsumoto-Sakamoto; Neumann-Wahl), which shares nothing with
+    the rotation sweep.
+    """
+    n = p * q * r
+    lam = (
+        Fraction(-1, 8)
+        + Fraction(1 - n * n + (q * r) ** 2 + (p * r) ** 2 + (p * q) ** 2, 24 * n)
+        - (dedekind_sum(q * r, p) + dedekind_sum(p * r, q) + dedekind_sum(p * q, r)) / 2
+    )
+    if lam.denominator != 1:
+        raise ArithmeticError(f"non-integral Casson value {lam} for {(p, q, r)}")
+    return int(lam)

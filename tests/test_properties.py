@@ -15,6 +15,7 @@ from floerchains.errors import DomainError
 from floerchains.lens import index_plus_one, lattice_counts
 from floerchains.seifert import (
     _exceptional_triple,
+    _irreducible_count,
     _w2_shifts,
     enumerate_projective,
     reducible_characters,
@@ -24,6 +25,7 @@ from floerchains.signatures import two_bridge_signature
 from oracles import (
     fraction_h1_order,
     fraction_reducible_characters,
+    fraction_sweep,
     goeritz_signature,
     walk_counts,
 )
@@ -84,9 +86,11 @@ def test_floor_sum_matches_brute_force(n, m, a, b):
 
 
 @st.composite
-def seifert_pairs(draw, a_max=40, b_max=60):
-    """A coprime pair (a, b) with 1 <= a <= a_max, a trivial fiber a = 1 half the time."""
-    a = draw(st.one_of(st.just(1), st.integers(2, a_max)))
+def seifert_pairs(draw, a_max=40, b_max=60, trivial=True):
+    """A coprime pair (a, b) with 1 <= a <= a_max, a trivial fiber a = 1 half the
+    time unless ``trivial`` is false."""
+    exceptional = st.integers(2, a_max)
+    a = draw(st.one_of(st.just(1), exceptional) if trivial else exceptional)
     b = draw(st.integers(-b_max, b_max).filter(lambda b: math.gcd(a, b) == 1))
     return a, b
 
@@ -175,3 +179,10 @@ def test_projective_count_invariant_under_moves(pairs, data):
     shifted[i] = (shifted[i][0], shifted[i][1] - b * shifted[i][0])
     shifted.insert(data.draw(st.integers(0, 3)), (1, b))
     assert projective_outcome(tuple(shifted)) == base
+
+
+@derandomized
+@given(st.tuples(*[seifert_pairs(a_max=20, b_max=40, trivial=False)] * 3))
+def test_irreducible_count_matches_fraction_grid(pairs):
+    grid = sum(len(fraction_sweep(pairs, m, (0, 0, 0))) for m in (0, 1))
+    assert _irreducible_count(pairs) == grid

@@ -18,18 +18,24 @@ from floerchains.errors import (
 )
 from floerchains.seifert import (
     _exceptional_triple,
+    _irreducible_count,
     _mod2_solutions,
-    _rotation_sweep,
     _w2_shifts,
     absorb_trivial_fibers,
     brieskorn_seifert_data,
     casson,
-    enumerate_irreducibles,
     enumerate_projective,
     reducible_characters,
 )
 
-from oracles import enumerate_reducibles, fraction_reducible_characters
+from oracles import (
+    brieskorn_casson,
+    enumerate_irreducibles,
+    enumerate_reducibles,
+    fraction_reducible_characters,
+    fraction_sweep,
+    rotation_sweep,
+)
 from su2_oracle import seifert_su2_count
 
 
@@ -45,23 +51,9 @@ def random_triple(rng, amax=7):
     return SeifertData(tuple(pairs))
 
 
-def triangle_strict(f1, f2, f3):
-    """Strict spherical triangle condition on angles pi*f1, pi*f2, pi*f3."""
-    return abs(f1 - f2) < f3 < min(f1 + f2, 2 - f1 - f2)
-
-
-def fraction_sweep(pairs, m, parity_shift):
-    """Reference rotation sweep: every tuple of the parity grid, tested with Fractions."""
-    ranges = []
-    for (a, b), t in zip(pairs, parity_shift):
-        want = (m * b + t) % 2
-        ranges.append([ell for ell in range(1, a) if ell % 2 == want])
-    out = []
-    for ells in itertools.product(*ranges):
-        fractions = [Fraction(ell, a) for ell, (a, _) in zip(ells, pairs)]
-        if triangle_strict(*fractions):
-            out.append(ells)
-    return out
+def irreducible_count(s):
+    """The shipping count of irreducible classes for any Seifert data."""
+    return _irreducible_count(_exceptional_triple(s).pairs)
 
 
 def twisted_classes(s, shifts=None):
@@ -70,7 +62,7 @@ def twisted_classes(s, shifts=None):
     pairs = _exceptional_triple(s).pairs
     if shifts is None:
         shifts = _w2_shifts(pairs)
-    return [(m, ells) for m in (0, 1) for ells in _rotation_sweep(pairs, m, shifts)]
+    return [(m, ells) for m in (0, 1) for ells in rotation_sweep(pairs, m, shifts)]
 
 
 def single_twists(pairs):
@@ -134,26 +126,24 @@ class TestEnumerateIrreducibles:
         assert all(m == 1 for m, _ in reps)
 
     def test_brieskorn_2_3_5(self):
-        reps = enumerate_irreducibles(SeifertData(((2, 1), (3, 1), (5, -4))))
-        assert len(reps) == 2
+        data = SeifertData(((2, 1), (3, 1), (5, -4)))
+        assert len(enumerate_irreducibles(data)) == irreducible_count(data) == 2
 
     def test_example_2m1_3_3(self):
-        reps = enumerate_irreducibles(SeifertData(((2, -1), (3, 1), (3, 1))))
-        assert len(reps) == 1
+        data = SeifertData(((2, -1), (3, 1), (3, 1)))
+        assert len(enumerate_irreducibles(data)) == irreducible_count(data) == 1
 
     def test_fiber_count_contract(self):
         with pytest.raises(UnsupportedFiberCountError):
-            enumerate_irreducibles(SeifertData(((2, 1), (3, 1))))
+            _exceptional_triple(SeifertData(((2, 1), (3, 1))))
         with pytest.raises(UnsupportedFiberCountError):
-            enumerate_irreducibles(SeifertData(((2, 1), (3, 1), (5, 1), (7, 1))))
+            _exceptional_triple(SeifertData(((2, 1), (3, 1), (5, 1), (7, 1))))
 
     def test_absorbs_trivial_fibers(self):
         with_trivial = SeifertData(((1, -1), (2, 1), (3, 1), (3, 1)))
         plain = SeifertData(((2, -1), (3, 1), (3, 1)))
         assert absorb_trivial_fibers(with_trivial) == plain
-        assert len(enumerate_irreducibles(with_trivial)) == len(
-            enumerate_irreducibles(plain)
-        )
+        assert irreducible_count(with_trivial) == irreducible_count(plain)
 
 
 class TestCasson:
@@ -175,18 +165,24 @@ class TestCasson:
 
     def test_count_equals_minus_two_lambda(self):
         for p, q, r in [(2, 3, 5), (2, 3, 7), (2, 3, 11), (3, 4, 5), (2, 5, 7)]:
-            from floerchains.seifert import brieskorn_seifert_data
-
             count = len(enumerate_irreducibles(brieskorn_seifert_data(p, q, r)))
             assert count == -2 * casson(p, q, r)
+
+    def test_matches_dedekind_sum_formula(self):
+        checked = 0
+        for p, q, r in itertools.combinations(range(2, 30), 3):
+            if p * q * r > 4000 or math.gcd(p, q) * math.gcd(p, r) * math.gcd(q, r) != 1:
+                continue
+            assert casson(p, q, r) == brieskorn_casson(p, q, r), (p, q, r)
+            checked += 1
+        assert checked > 100
 
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             casson(2, 4, 5)
 
     def test_odd_count_raises(self, monkeypatch):
-        reps = [(1, (1, 1, 2 * k)) for k in (1, 2, 3)]
-        monkeypatch.setattr(seifert, "enumerate_irreducibles", lambda data: reps)
+        monkeypatch.setattr(seifert, "_irreducible_count", lambda pairs: 3)
         with pytest.raises(ArithmeticError):
             casson(2, 3, 7)
 
@@ -285,10 +281,16 @@ class TestProjective:
     def test_unpaired_class_raises(self, monkeypatch):
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
         # all six SU(2) classes have m = 1 here; drop the first of them
-        sweep = seifert._rotation_sweep
-        monkeypatch.setattr(
-            seifert, "_rotation_sweep", lambda pairs, m, shifts: sweep(pairs, m, shifts)[1:]
-        )
+        intervals = seifert._rotation_intervals
+
+        def without_first_tuple(pairs, m, shifts):
+            dropped = False
+            for ell1, ell2, lo, hi in intervals(pairs, m, shifts):
+                if lo <= hi and not dropped:
+                    lo, dropped = lo + 2, True
+                yield ell1, ell2, lo, hi
+
+        monkeypatch.setattr(seifert, "_rotation_intervals", without_first_tuple)
         with pytest.raises(ArithmeticError, match="not free"):
             enumerate_projective(data)
 
@@ -319,22 +321,22 @@ class TestNormalizationInvariance:
         rng = random.Random(9)
         for _ in range(40):
             data = random_triple(rng, amax=6)
-            base = len(enumerate_irreducibles(data))
+            base = irreducible_count(data)
             pairs = list(data.pairs)
             i = rng.randrange(3)
             bumped = list(pairs)
             bumped[i] = (pairs[i][0], pairs[i][1] + 2 * pairs[i][0])
-            assert len(enumerate_irreducibles(SeifertData(tuple(bumped)))) == base
+            assert irreducible_count(SeifertData(tuple(bumped))) == base
             j = (i + 1) % 3
             paired = list(pairs)
             paired[i] = (pairs[i][0], pairs[i][1] + pairs[i][0])
             paired[j] = (pairs[j][0], pairs[j][1] - pairs[j][0])
-            assert len(enumerate_irreducibles(SeifertData(tuple(paired)))) == base
+            assert irreducible_count(SeifertData(tuple(paired))) == base
 
     def test_poincare_sphere_two_presentations(self):
         first = SeifertData(((2, 1), (3, 1), (5, -4)))
         second = SeifertData(((2, 1), (3, 4), (5, -9)))
-        assert len(enumerate_irreducibles(first)) == len(enumerate_irreducibles(second)) == 2
+        assert irreducible_count(first) == irreducible_count(second) == 2
 
 
 class TestOracleEquivalence:
@@ -349,12 +351,12 @@ class TestOracleEquivalence:
                         (a, random_coprime(rng, a)) for a in (a1, a2, a3)
                     )
                     data = SeifertData(pairs)
-                    mine = len(enumerate_irreducibles(data))
-                    assert mine == seifert_su2_count(pairs), pairs
+                    assert irreducible_count(data) == seifert_su2_count(pairs), pairs
 
 
 class TestRotationSweepOracle:
-    """The integer interval sweep against the Fraction sweep, list order included."""
+    """The integer interval sweep, intervals expanded, against the Fraction sweep,
+    list order included."""
 
     SHIFTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -368,7 +370,7 @@ class TestRotationSweepOracle:
                 key = (a1, a2, a3) + tuple((m * b + t) % 2 for t in shift)
                 if key not in reference:
                     reference[key] = fraction_sweep(pairs, m, shift)
-                assert _rotation_sweep(pairs, m, shift) == reference[key], (pairs, m, shift)
+                assert rotation_sweep(pairs, m, shift) == reference[key], (pairs, m, shift)
 
     def test_workload_sized_triples(self):
         rng = random.Random(17)
@@ -385,7 +387,7 @@ class TestRotationSweepOracle:
                 cases.append(pairs)
         for pairs in cases:
             for m, shift in itertools.product((0, 1), self.SHIFTS):
-                assert _rotation_sweep(pairs, m, shift) == fraction_sweep(pairs, m, shift), (pairs, m, shift)
+                assert rotation_sweep(pairs, m, shift) == fraction_sweep(pairs, m, shift), (pairs, m, shift)
 
     def test_pairing_matches_min_remaining_loop(self):
         rng = random.Random(23)

@@ -20,6 +20,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_fractions_import():
+    # the package computes in integers; Fraction-based routes are test oracles
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "fractions"
+    ]
+    assert found == []
+
+
 def _module_aliases(tree):
     """Names a module binds to sibling modules (``from . import covers``)."""
     return {
