@@ -7,20 +7,24 @@ the process's one parser, built by the first ``build_parser`` call and
 shared by every later one; callers must not mutate it.  A run prints a
 human-readable table or one JSON object with the stable fields input,
 generators, ranks, anchoring, conjectural, warnings (plus notes and
-extras).  ``regress`` replays the golden records of ``golden.jsonl``
-through the same path and diffs each whole record.  Exit codes: 0
-success, 1 domain or input error (a JSON object with the error name under
---json), 2 usage error.
+extras), laid out as ``json.dumps(indent=2, sort_keys=True)`` would.
+``regress`` replays the golden records of ``golden.jsonl`` through the
+same path, parses back the JSON it prints and diffs each whole record.
+Exit codes: 0 success, 1 domain or input error (a JSON object with the
+error name under --json), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import covers, signatures
@@ -47,12 +51,15 @@ def parse_pairs(text: str) -> SeifertData:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad Seifert pair {chunk!r}; expected a,b")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(
+                f"bad Seifert pair {chunk!r}; --pairs takes integer pairs a,b;a,b;..."
+            ) from None
+        pairs.append((a, b))
     if not pairs:
-        raise ValueError("empty Seifert data")
+        raise ValueError("empty Seifert data; --pairs takes integer pairs a,b;a,b;...")
     return SeifertData(tuple(pairs))
 
 
@@ -63,18 +70,27 @@ def parse_alexander(text: str) -> Dict[int, int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        e, _, c = chunk.partition(":")
-        coeffs[int(e)] = coeffs.get(int(e), 0) + int(c)
+        try:
+            e, c = map(int, chunk.split(":"))
+        except ValueError:
+            raise ValueError(
+                f"bad Alexander term {chunk!r}; --alexander takes integer terms exp:coeff,..."
+            ) from None
+        coeffs[e] = coeffs.get(e, 0) + c
     if not coeffs:
-        raise ValueError("empty Alexander polynomial; expected exp:coeff terms")
+        raise ValueError("empty Alexander polynomial; --alexander takes integer terms exp:coeff,...")
     return coeffs
 
 
 def parse_block(text: str) -> List[int]:
-    values = [int(x) for x in text.split(",")]
-    if len(values) != 4:
-        raise ValueError(f"expected four comma-separated counts, got {text!r}")
-    return values
+    """Parse the four integer gradings `g0,g1,g2,g3` of an irreducible-block pin."""
+    try:
+        g0, g1, g2, g3 = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"bad grading pin {text!r}; --irreducible-block takes four integers g0,g1,g2,g3"
+        ) from None
+    return [g0, g1, g2, g3]
 
 
 def _generator_rows(gens: GradedGenerators) -> List[Dict]:
@@ -115,9 +131,70 @@ def _record(
     return record
 
 
+# JSON text of each scalar type, by exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write_json(value, out: List[str], newline: str) -> None:
+    """Append `value` to `out` as ``json.dumps(value, indent=2, sort_keys=True)``
+    lays it out, `newline` being the line break and indent of its own level.
+
+    Takes exactly the types a record holds (dict with str keys, list, tuple,
+    str, int, bool, None); anything else, a float included, is a TypeError.
+    Strings go through the C escaper: with ``indent`` set, ``json.dumps``
+    runs CPython's pure-Python encoder, about twice as slow on records.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            encode = _JSON_SCALARS.get(type(item))
+            if encode is None:
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(item, out, inner)
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": " + encode(item))
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            encode = _JSON_SCALARS.get(type(item))
+            if encode is None:
+                out.append(sep)
+                _write_json(item, out, inner)
+            else:
+                out.append(sep + encode(item))
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        encode = _JSON_SCALARS.get(kind)
+        if encode is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append(encode(value))
+
+
 def _print_record(record: Dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        chunks: List[str] = []
+        _write_json(record, chunks, "\n")
+        print("".join(chunks))
         return
     print(f"input: {record['input']}")
     if record["generators"]:
@@ -320,9 +397,16 @@ def _golden_cases() -> List[Dict]:
 
 
 def _golden_diff(case: Dict) -> List[str]:
-    """One line per top-level key where the replayed record differs from the golden one."""
-    _, actual = _evaluate(_parse(case["argv"]))
-    actual = json.loads(json.dumps(actual))  # as --json would print it
+    """One line per top-level key where the replayed record, parsed back from
+    the text ``--json`` prints, differs from the golden one."""
+    _, record = _evaluate(_parse(case["argv"]))
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            _print_record(record, True)
+        actual = json.loads(printed.getvalue())
+    except (TypeError, ValueError) as err:
+        return [f"--json output: {type(err).__name__}: {err}"]
     expected = case["record"]
     return [
         f"{key}: expected {expected.get(key)!r}, actual {actual.get(key)!r}"

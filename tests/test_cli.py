@@ -49,6 +49,28 @@ def run_module(*args, timeout):
     )
 
 
+# argv that parse but exit 1 with a ValueError
+INPUT_ERRORS = [
+    ["two-bridge", "-p", "4", "-q", "1"],
+    ["montesinos-knot", "--pairs", "2,x", "--signature=0"],
+    ["homology", "--alexander="],
+    ["homology", "--pairs="],
+    ["torus", "3", "5", "--irreducible-block", "2,0,0,2"],
+    ["torus", "2", "5", "--irreducible-block", "9,9"],
+    # an empty value is a bad value, not an absent flag
+    ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--alexander="],
+    ["torus", "3", "4", "--irreducible-block="],
+    ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=-6", "--irreducible-block="],
+    ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=-6", "--irreducible-block=2,0,0"],
+    ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--alexander=1:x"],
+    ["homology", "--alexander=1:x"],
+    ["homology", "--pairs", "2,1;3"],
+]
+PAIRS_GRAMMAR = "--pairs takes integer pairs a,b;a,b;..."
+ALEXANDER_GRAMMAR = "--alexander takes integer terms exp:coeff,..."
+BLOCK_GRAMMAR = "--irreducible-block takes four integers g0,g1,g2,g3"
+
+
 def count_calls(monkeypatch, bindings):
     """Wrap every (module, name) binding of one function with a shared call list."""
     calls = []
@@ -112,23 +134,7 @@ class TestTwoBridgeCommand:
         payload = json.loads(out)
         assert payload["error"] == "NotCoprimeError"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["two-bridge", "-p", "4", "-q", "1"],
-            ["montesinos-knot", "--pairs", "2,x", "--signature=0"],
-            ["homology", "--alexander="],
-            ["homology", "--pairs="],
-            ["torus", "3", "5", "--irreducible-block", "2,0,0,2"],
-            ["torus", "2", "5", "--irreducible-block", "9,9"],
-            # an empty value is a bad value, not an absent flag
-            ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4", "--alexander="],
-            ["torus", "3", "4", "--irreducible-block="],
-            ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=-6",
-             "--irreducible-block="],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", INPUT_ERRORS, ids=" ".join)
     def test_input_error_json(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 1
@@ -136,6 +142,28 @@ class TestTwoBridgeCommand:
         assert payload["error"] == "ValueError"
         assert payload["message"]
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, grammar",
+        [
+            (["montesinos-knot", "--pairs", "2,x", "--signature=0"], PAIRS_GRAMMAR),
+            (["homology", "--pairs="], PAIRS_GRAMMAR),
+            (["homology", "--pairs", "2,1;3"], PAIRS_GRAMMAR),
+            (["homology", "--alexander="], ALEXANDER_GRAMMAR),
+            (["homology", "--alexander=1:x"], ALEXANDER_GRAMMAR),
+            (["homology", "--alexander=1:2:3"], ALEXANDER_GRAMMAR),
+            (["torus", "3", "4", "--irreducible-block="], BLOCK_GRAMMAR),
+            (["torus", "3", "4", "--irreducible-block=2,0,0"], BLOCK_GRAMMAR),
+            (["torus", "3", "4", "--irreducible-block=2,0,0,x"], BLOCK_GRAMMAR),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_bad_flag_value_names_flag_and_grammar(self, capsys, argv, grammar):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValueError"
+        assert grammar in payload["message"]
 
     def test_large_pair_finishes(self):
         # dense elimination on the Goeritz form is cubic in p at q = p - 1
@@ -388,6 +416,19 @@ class TestRegress:
         assert f"[FAIL] {case['name']}" in out
         assert "ranks: expected [0, 0, 0, 0]" in out
         assert "generators:" not in out
+
+    def test_fails_on_output_that_is_not_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_write_json", lambda value, out, newline: out.append("{"))
+        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        assert code == 1
+        assert f"[FAIL] {GOLDEN[0]['name']}" in out
+        assert "--json output: JSONDecodeError" in out
+
+    def test_fails_on_a_wrongly_printed_value(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._JSON_SCALARS, int, lambda value: repr(value + 1))
+        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        assert code == 1
+        assert "ranks: expected [1, 1, 2, 1], actual [2, 2, 3, 2]" in out
 
     def test_passes_under_optimize(self):
         done = run_module("-O", "-m", "floerchains.cli", "regress", timeout=120)
