@@ -10,7 +10,6 @@ from .complexes import (
     ChainRanks,
     GradedGenerators,
     LinkComplex,
-    TorusComplex,
     casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
@@ -37,7 +36,6 @@ __all__ = [
     "GradedGenerators",
     "LinkComplex",
     "SeifertData",
-    "TorusComplex",
     "branched_cover_h1",
     "casson",
     "casson_from_alexander",

@@ -93,18 +93,6 @@ def parse_block(text: str) -> List[int]:
     return [g0, g1, g2, g3]
 
 
-def _generator_rows(gens: GradedGenerators) -> List[Dict]:
-    return [
-        {
-            "grading": e.grading,
-            "multiplicity": e.multiplicity,
-            "origin": e.origin,
-            "id": e.class_id,
-        }
-        for e in gens.entries
-    ]
-
-
 def _record(
     input_echo: Dict,
     generators: Optional[GradedGenerators] = None,
@@ -115,7 +103,7 @@ def _record(
 ) -> Dict:
     record = {
         "input": input_echo,
-        "generators": _generator_rows(generators) if generators else [],
+        "generators": list(generators.entries) if generators else [],
         "ranks": list(ranks.r) if ranks else None,
         "anchoring": ranks.anchoring if ranks else None,
         "conjectural": bool(ranks.conjectural) if ranks else False,
@@ -312,15 +300,16 @@ def _cmd_torus(args) -> Dict:
             ),
             extras=extras,
         )
-    result = torus_complex(p, q)
+    ranks = torus_complex(p, q)
+    sign = -4 * ranks.r[1]  # the ranks are (1 + a, a, a, a), a = -signature/4
     return _record(
         {"command": "torus", "p": args.p, "q": args.q},
-        ranks=result.ranks,
+        ranks=ranks,
         warnings=("rank vector is conjectural; only the total rank is certified",),
         extras={
-            "total_rank": result.ranks.total,
-            "special_grading": result.signature % 4,
-            "signature": result.signature,
+            "total_rank": ranks.total,
+            "special_grading": sign % 4,
+            "signature": sign,
         },
     )
 
@@ -347,7 +336,7 @@ def _cmd_montesinos_link(args) -> Dict:
         else:
             notes.append("class count cross-validated against the surgery-knot route")
     ranks = result.ranks
-    if result.ambiguous:
+    if result.split is None:
         extras["candidates"] = [list(c.r) for c in result.candidates]
     else:
         extras["euler_characteristic"] = f"+-{abs(euler_characteristic(ranks))}"

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
 from .covers import SeifertData, seifert_h1_order
-from .errors import (
-    FlatCobordismError,
-    InconsistentLkError,
-    NonIntegralAError,
-)
+from .errors import InconsistentLkError, NonIntegralAError
 from .lens import index_plus_one
 from .seifert import (
     _exceptional_triple,
@@ -58,30 +54,30 @@ class ChainRanks:
         return sum(self.r)
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
-    """A block of generators at one grading; grading None means unknown."""
+def _row(
+    grading: Optional[int], multiplicity: int, origin: str, class_id: Optional[int] = None
+) -> Dict:
+    """A block of generators at one grading, as the record prints it.
 
-    grading: Optional[int]
-    multiplicity: int
-    origin: str
-    class_id: Optional[int] = None
+    A grading of None means unknown; id names the class of the block, if any.
+    """
+    return {"grading": grading, "id": class_id, "multiplicity": multiplicity, "origin": origin}
 
 
 @dataclass(frozen=True)
 class GradedGenerators:
     """Multiset of generator blocks, possibly with unknown gradings."""
 
-    entries: Tuple[GeneratorEntry, ...]
+    entries: Tuple[Dict, ...]
     warnings: Tuple[str, ...] = ()
 
     @property
     def total(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return sum(e["multiplicity"] for e in self.entries)
 
     @property
     def unknown(self) -> int:
-        return sum(e.multiplicity for e in self.entries if e.grading is None)
+        return sum(e["multiplicity"] for e in self.entries if e["grading"] is None)
 
     def ranks(self) -> Optional[ChainRanks]:
         """Rank vector when every grading is known, else None."""
@@ -89,7 +85,7 @@ class GradedGenerators:
             return None
         vec = [0, 0, 0, 0]
         for e in self.entries:
-            vec[e.grading % 4] += e.multiplicity
+            vec[e["grading"] % 4] += e["multiplicity"]
         return ChainRanks(tuple(vec), ABSOLUTE)
 
 
@@ -113,16 +109,14 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     parameterization pinned by the figure-eight vector (ell 1 -> 2,
     ell 2 -> 4).
     """
-    if p == 1:
-        return GradedGenerators((GeneratorEntry(0, 1, SPECIAL),))
     sign = two_bridge_signature(p, q)
-    entries = [GeneratorEntry(sign % 4, 1, SPECIAL)]
+    entries = [_row(sign % 4, 1, SPECIAL)]
     q0 = q % p
     q_param = mod_inverse(q0, p)
     for ell in range(1, (p - 1) // 2 + 1):
         mu = (index_plus_one(p, q_param, q0, ell) // 2 + sign) % 4
-        entries.append(GeneratorEntry(mu, 1, REDUCIBLE, ell))
-        entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, ell))
+        entries.append(_row(mu, 1, REDUCIBLE, ell))
+        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
     return GradedGenerators(tuple(entries))
 
 
@@ -143,8 +137,9 @@ def montesinos_knot_complex(
 ) -> GradedGenerators:
     """Generator blocks for a Montesinos knot with three exceptional fibers.
 
-    Requires the flat-cobordism divisibility condition
-    a_1 * a_2 * a_3 = lcm(a_1, a_2, a_3) * |H1|.  Reducible classes are
+    Requires a finite odd |H1| and the flat-cobordism condition
+    a_1 * a_2 * a_3 = lcm(a_1, a_2, a_3) * |H1|, both checked by
+    ``reducible_characters`` on the Smith normal form.  Reducible classes are
     graded through the per-fiber lens indices whenever every fiber they
     touch has odd multiplicity, and are left unknown otherwise.
     Irreducible classes are graded by the given block 4-vector if one is
@@ -155,15 +150,9 @@ def montesinos_knot_complex(
         raise ValueError(f"knot signatures are even, got {sign_k}")
     reduced = _exceptional_triple(s)
     order = seifert_h1_order(reduced)
-    prod = math.prod(a for a, _ in reduced.pairs)
-    lcm = math.lcm(*(a for a, _ in reduced.pairs))
-    if prod != lcm * order:
-        raise FlatCobordismError(
-            f"product {prod} != lcm {lcm} * |H1| {order}; cobordism is not flat"
-        )
 
     warnings: List[str] = []
-    entries = [GeneratorEntry(sign_k % 4, 1, SPECIAL)]
+    entries = [_row(sign_k % 4, 1, SPECIAL)]
     # the lens space L(a, -b) of each odd fiber, with the inverse of -b mod a
     lenses = [
         (a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs
@@ -176,14 +165,14 @@ def montesinos_knot_complex(
                 f"unknown gradings: reducible class {idx} restricts nontrivially "
                 "to an even-multiplicity fiber"
             )
-            entries.append(GeneratorEntry(None, 2, REDUCIBLE, idx))
+            entries.append(_row(None, 2, REDUCIBLE, idx))
             continue
         mu = sign_k - 1
         for lens, ell in active:
             mu += index_plus_one(*lens, ell) // 2 + 1
         mu %= 4
-        entries.append(GeneratorEntry(mu, 1, REDUCIBLE, idx))
-        entries.append(GeneratorEntry((mu + 1) % 4, 1, REDUCIBLE, idx))
+        entries.append(_row(mu, 1, REDUCIBLE, idx))
+        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, idx))
 
     k = _irreducible_count(reduced.pairs)
     if irreducible_block is not None:
@@ -202,19 +191,19 @@ def montesinos_knot_complex(
         if irreducible_block is not None:
             for g, count in enumerate(block):
                 if count:
-                    entries.append(GeneratorEntry(g, count, IRREDUCIBLE))
+                    entries.append(_row(g, count, IRREDUCIBLE))
         elif order == 1:
             # homology sphere: the degree-4 pairing spreads the classes
             # uniformly, one generator per class in every grading
             for g in range(4):
-                entries.append(GeneratorEntry(g, k, IRREDUCIBLE))
+                entries.append(_row(g, k, IRREDUCIBLE))
         else:
             warnings.append(
                 f"unknown gradings: {k} irreducible class(es) contribute "
                 f"{4 * k} generators at unresolved gradings"
             )
             for idx in range(1, k + 1):
-                entries.append(GeneratorEntry(None, 4, IRREDUCIBLE, idx))
+                entries.append(_row(None, 4, IRREDUCIBLE, idx))
 
     return GradedGenerators(tuple(entries), tuple(warnings))
 
@@ -240,20 +229,12 @@ def torus_even_seifert_data(p: int, q: int) -> SeifertData:
     return SeifertData(((1, b1), (p, b2), (p, b2), (r, b3)))
 
 
-@dataclass(frozen=True)
-class TorusComplex:
-    """Conjectural rank vector, with its certified total, and signature of an odd torus knot."""
+def torus_complex(p: int, q: int) -> ChainRanks:
+    """Chain ranks (1 + a, a, a, a) of the torus knot on odd coprime p, q >= 3.
 
-    ranks: ChainRanks
-    signature: int
-
-
-def torus_complex(p: int, q: int) -> TorusComplex:
-    """Chain data of the torus knot on odd coprime p, q >= 3.
-
-    The total rank 1 + 4a with a = -signature/4 is certified, and the
-    special generator sits in degree zero since the signature is divisible
-    by 8.  The even split (1 + a, a, a, a) is conjectural and flagged so.
+    a is minus a quarter of the signature.  The total rank 1 + 4a is
+    certified, and the special generator sits in degree zero since the
+    signature is divisible by 8.  The even split is conjectural and flagged so.
     """
     if p % 2 == 0 or q % 2 == 0 or p < 3 or q < 3:
         raise ValueError(f"both parameters must be odd and >= 3, got ({p}, {q})")
@@ -261,10 +242,7 @@ def torus_complex(p: int, q: int) -> TorusComplex:
     if sign % 8:
         raise NonIntegralAError(f"torus signature {sign} is not divisible by 8")
     a = -sign // 4
-    return TorusComplex(
-        ranks=ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True),
-        signature=sign,
-    )
+    return ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True)
 
 
 @dataclass(frozen=True)
@@ -274,19 +252,19 @@ class LinkComplex:
     so3_classes is the number of SO(3) classes with nontrivial w2; each
     contributes four generators and lifts to two SU(2) classes.  When the linking number determines the
     split (n1, n3), candidates holds the single cyclic-canonical vector
-    (2n1, 2n3, 2n1, 2n3); without it, one candidate per admissible split.
+    (2n1, 2n3, 2n1, 2n3); without it, split is None and candidates holds
+    one vector per admissible split.
     """
 
     so3_classes: int
     candidates: Tuple[ChainRanks, ...]
     split: Optional[Tuple[int, int]]
-    ambiguous: bool
     warnings: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
 
     @property
     def ranks(self) -> Optional[ChainRanks]:
-        return self.candidates[0] if not self.ambiguous else None
+        return None if self.split is None else self.candidates[0]
 
     @property
     def su2_classes(self) -> int:
@@ -326,7 +304,6 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
             so3_classes=n,
             candidates=candidates,
             split=None,
-            ambiguous=True,
             warnings=("ambiguous split: no linking number supplied",),
             notes=notes,
         )
@@ -346,7 +323,6 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         so3_classes=n,
         candidates=(ChainRanks(vec, CYCLIC),),
         split=(n1, n3),
-        ambiguous=False,
         warnings=warnings,
         notes=notes,
     )

@@ -101,10 +101,13 @@ def _irreducible_count(pairs) -> int:
     """Number of irreducible SU(2) classes of three exceptional fibers.
 
     Sums the lengths of the untwisted sweep's ell_3 intervals over both
-    central signs, in O(a_1*a_2) time and constant memory.  For covers of
-    knots (odd |H1|) these classes coincide with the irreducible SO(3)
-    classes with trivial w2.
+    central signs.  The count does not depend on the order of the fibers,
+    so the sweep takes them in increasing multiplicity and walks the two
+    smallest: O(a_1*a_2) time for a_1 <= a_2 <= a_3, and constant memory.
+    For covers of knots (odd |H1|) these classes coincide with the
+    irreducible SO(3) classes with trivial w2.
     """
+    pairs = sorted(pairs)
     return sum(
         len(range(lo, hi + 1, 2))
         for m in (0, 1)

@@ -77,9 +77,9 @@ def test_criterion_3_montesinos_knot_pipeline():
     assert classes[0] == (0, 1, 1)
     assert index_plus_one(3, 2, 2, 1) - 1 == 1
     gens = montesinos_knot_complex(data, -6, (2, 0, 0, 2))
-    special = next(e for e in gens.entries if e.origin == "special")
-    assert special.grading == 2
-    reducible = sorted(e.grading for e in gens.entries if e.origin == "reducible")
+    special = next(e for e in gens.entries if e["origin"] == "special")
+    assert special["grading"] == 2
+    reducible = sorted(e["grading"] for e in gens.entries if e["origin"] == "reducible")
     assert reducible == [1, 2]
     assert gens.ranks().r == (2, 1, 2, 2)
     report(3, "pipeline gives |H1|=3, lens index 1, mu=1, special 2, ranks (2,1,2,2)")
@@ -110,7 +110,7 @@ def test_criterion_6_torus_family():
         for q in range(p + 2, 26, 2):
             if math.gcd(p, q) == 1:
                 assert torus_signature(p, q) % 8 == 0
-    assert torus_complex(3, 5).ranks.total == 9
+    assert torus_complex(3, 5).total == 9
     report(6, "torus signatures = 0 mod 8 for odd coprime p < q <= 25; T(3,5) total 9")
 
 

@@ -12,7 +12,7 @@ import pytest
 import floerchains
 from floerchains import arith, cli, complexes, covers, lens, seifert, signatures
 from floerchains.cli import _record, main, parse_alexander, parse_pairs
-from floerchains.complexes import ChainRanks, GeneratorEntry, GradedGenerators
+from floerchains.complexes import ChainRanks, GradedGenerators, _row, two_bridge_generators
 from floerchains.signatures import torus_signature
 
 GOLDEN = cli._golden_cases()
@@ -357,9 +357,15 @@ class TestEveryCommand:
 
 class TestRecord:
     def test_rejects_ranks_that_miss_generators(self):
-        gens = GradedGenerators((GeneratorEntry(0, 1, "special"),))
+        gens = GradedGenerators((_row(0, 1, "special"),))
         with pytest.raises(ArithmeticError):
             _record({}, generators=gens, ranks=ChainRanks((1, 1, 0, 0)))
+
+    def test_generators_are_the_entries(self):
+        # the record prints the generator blocks exactly as the complex built them
+        gens = two_bridge_generators(5, 3)
+        record = _record({}, generators=gens, ranks=gens.ranks())
+        assert record["generators"] == list(gens.entries)
 
 
 class TestGolden:
@@ -442,6 +448,27 @@ class TestWorkPerRecord:
         calls = count_calls(monkeypatch, [(seifert, "_rotation_intervals")])
         assert run(capsys, "brieskorn-knot", "2", "3", "7", "--json")[0] == 0
         assert len(calls) == 2
+
+    def test_brieskorn_sweep_walks_the_smallest_fibers(self, capsys, monkeypatch):
+        # the count is symmetric in the fibers, so the fiber order must not
+        # decide how many (ell_1, ell_2) pairs the sweep walks
+        original = seifert._rotation_intervals
+        swept = []
+
+        def counted(*args):
+            for item in original(*args):
+                swept.append(item)
+                yield item
+
+        monkeypatch.setattr(seifert, "_rotation_intervals", counted)
+        walked = []
+        for argv in (["1009", "1013", "2"], ["2", "1009", "1013"]):
+            swept.clear()
+            code, out, _ = run(capsys, "brieskorn-knot", *argv, "--json")
+            assert code == 0
+            assert json.loads(out)["extras"]["casson"] == -63882
+            walked.append(len(swept))
+        assert walked[0] == walked[1] < 1013
 
     def test_link_sweeps_once_per_central_sign(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, [(seifert, "_rotation_intervals")])

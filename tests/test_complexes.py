@@ -5,8 +5,8 @@ from floerchains.complexes import (
     ABSOLUTE,
     CYCLIC,
     ChainRanks,
-    GeneratorEntry,
     GradedGenerators,
+    _row,
     casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
@@ -18,8 +18,10 @@ from floerchains.complexes import (
 )
 from floerchains.covers import SeifertData
 from floerchains.errors import (
+    EvenOrderError,
     FlatCobordismError,
     InconsistentLkError,
+    InfiniteH1Error,
     NotCoprimeError,
     NotHomologyS1xS2Error,
 )
@@ -40,21 +42,31 @@ class TestTwoBridgeComplex:
         assert ranks.total == 3
         assert euler_characteristic(ranks) == 1
         special = next(
-            e for e in two_bridge_generators(3, 1).entries if e.origin == "special"
+            e for e in two_bridge_generators(3, 1).entries if e["origin"] == "special"
         )
-        assert special.grading == 2
+        assert special["grading"] == 2
 
     def test_unknot(self):
         assert two_bridge_complex(1, 1).r == (1, 0, 0, 0)
 
     def test_generator_structure(self):
         gens = two_bridge_generators(5, 3)
-        assert sum(1 for e in gens.entries if e.origin == "special") == 1
-        circle_ids = {e.class_id for e in gens.entries if e.origin == "reducible"}
+        assert sum(1 for e in gens.entries if e["origin"] == "special") == 1
+        circle_ids = {e["id"] for e in gens.entries if e["origin"] == "reducible"}
         assert circle_ids == {1, 2}
 
+    def test_blocks_are_record_rows(self):
+        gens = two_bridge_generators(5, 3)
+        assert gens.entries[0] == {
+            "grading": 0,
+            "id": None,
+            "multiplicity": 1,
+            "origin": "special",
+        }
+        assert all(set(e) == {"grading", "id", "multiplicity", "origin"} for e in gens.entries)
+
     def test_unknown_grading_raises(self, monkeypatch):
-        gens = GradedGenerators((GeneratorEntry(None, 1, "special"),))
+        gens = GradedGenerators((_row(None, 1, "special"),))
         monkeypatch.setattr(oracles, "two_bridge_generators", lambda p, q: gens)
         with pytest.raises(ArithmeticError):
             two_bridge_complex(5, 3)
@@ -77,9 +89,9 @@ class TestMontesinosKnotComplex:
         gens = montesinos_knot_complex(data, -6, (2, 0, 0, 2))
         assert gens.ranks().r == (2, 1, 2, 2)
         assert euler_characteristic(gens.ranks()) == 1
-        special = [e for e in gens.entries if e.origin == "special"]
-        assert len(special) == 1 and special[0].grading == 2
-        reducible = sorted(e.grading for e in gens.entries if e.origin == "reducible")
+        special = [e for e in gens.entries if e["origin"] == "special"]
+        assert len(special) == 1 and special[0]["grading"] == 2
+        reducible = sorted(e["grading"] for e in gens.entries if e["origin"] == "reducible")
         assert reducible == [1, 2]
 
     def test_without_pin_is_partial(self):
@@ -98,12 +110,22 @@ class TestMontesinosKnotComplex:
         with pytest.raises(FlatCobordismError):
             montesinos_knot_complex(SeifertData(((3, 1), (3, 1), (3, 1))), 0)
 
+    def test_infinite_h1_is_named_before_flatness(self):
+        # e = 1/3 + 1/5 - 8/15 = 0: a homology S^1 x S^2, not a knot cover
+        with pytest.raises(InfiniteH1Error):
+            montesinos_knot_complex(SeifertData(((3, 1), (5, 1), (15, -8))), 0)
+
+    def test_even_h1_is_named_before_flatness(self):
+        # |H1| = 38 and 40 != lcm 20 * 38: the order is the first thing wrong
+        with pytest.raises(EvenOrderError):
+            montesinos_knot_complex(SeifertData(((2, 1), (4, 1), (5, 1))), 0)
+
     def test_even_fiber_grading_flag(self):
         # |H1| = 3, flat, and the character is nontrivial on the 6-fiber
         data = SeifertData(((6, -1), (3, 1), (5, -1)))
         gens = montesinos_knot_complex(data, 0)
-        reducible = [e for e in gens.entries if e.origin == "reducible"]
-        assert all(e.grading is None for e in reducible)
+        reducible = [e for e in gens.entries if e["origin"] == "reducible"]
+        assert all(e["grading"] is None for e in reducible)
         assert any("even-multiplicity fiber" in w for w in gens.warnings)
 
     def test_block_validation(self):
@@ -123,15 +145,15 @@ class TestMontesinosKnotComplex:
 
 class TestTorusComplex:
     def test_3_5(self):
-        result = torus_complex(3, 5)
-        assert result.ranks.total == 9
-        assert result.ranks.r == (3, 2, 2, 2)
-        assert result.ranks.conjectural
-        assert result.signature == torus_signature(3, 5)
+        ranks = torus_complex(3, 5)
+        assert ranks.total == 9
+        assert ranks.r == (3, 2, 2, 2)
+        assert ranks.conjectural
+        assert -4 * ranks.r[1] == torus_signature(3, 5)
 
     def test_3_7(self):
-        result = torus_complex(3, 7)
-        assert result.ranks.total == 1 + 4 * (-torus_signature(3, 7) // 4) == 9
+        ranks = torus_complex(3, 7)
+        assert ranks.total == 1 + 4 * (-torus_signature(3, 7) // 4) == 9
 
     def test_even_q_routed_through_seifert_data(self):
         data = torus_even_seifert_data(3, 4)
@@ -173,7 +195,7 @@ class TestMontesinosLinkComplex:
     def test_ambiguous_without_lk(self):
         data = SeifertData(((2, 1), (5, -2), (10, -1)))
         result = montesinos_link_complex(data)
-        assert result.ambiguous
+        assert result.split is None
         assert result.ranks is None
         assert all(c.total == 12 for c in result.candidates)
         assert any("ambiguous split" in w for w in result.warnings)

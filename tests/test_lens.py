@@ -20,7 +20,7 @@ class TestLensReps:
         # one circle per class: the two-bridge generators list each ell twice
         def ells(p, q):
             gens = two_bridge_generators(p, q)
-            return [e.class_id for e in gens.entries if e.origin == "reducible"][::2]
+            return [e["id"] for e in gens.entries if e["origin"] == "reducible"][::2]
 
         assert ells(5, 3) == [1, 2]
         assert ells(3, 2) == [1]
@@ -98,9 +98,9 @@ class TestMorseBottIndex:
         """Lower grading of the ell circle of L(p, q_param), less the signature."""
         q = mod_inverse(q_param, p)
         mu = next(
-            e.grading
+            e["grading"]
             for e in two_bridge_generators(p, q).entries
-            if e.origin == "reducible" and e.class_id == ell
+            if e["origin"] == "reducible" and e["id"] == ell
         )
         return (mu - two_bridge_signature(p, q)) % 4
 

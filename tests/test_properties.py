@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
 from floerchains.covers import SeifertData, seifert_h1_order
-from floerchains.errors import DomainError
+from floerchains.errors import DomainError, FlatCobordismError
 from floerchains.lens import index_plus_one, lattice_counts
 from floerchains.seifert import (
     _exceptional_triple,
@@ -127,6 +127,29 @@ def flat_triples(product_max=6000):
                             if math.gcd(a1, b1) == math.gcd(a2, b2) == math.gcd(a3, b3) == 1:
                                 out.append(((a1, b1), (a2, b2), (a3, b3)))
     return out
+
+
+@derandomized
+@given(
+    st.one_of(
+        st.sampled_from(flat_triples()),
+        st.tuples(*[seifert_pairs(a_max=9, b_max=20, trivial=False)] * 3),
+    )
+)
+def test_smith_form_flatness_matches_product_over_lcm(pairs):
+    # for odd finite |H1| the Smith-form check in reducible_characters is the
+    # divisibility a_1*a_2*a_3 = lcm(a_1, a_2, a_3) * |H1|
+    s = SeifertData(pairs)
+    order = seifert_h1_order(s)
+    assume(order % 2)
+    a = [a for a, _ in pairs]
+    flat = math.prod(a) == math.lcm(*a) * order
+    try:
+        reducible_characters(s)
+    except FlatCobordismError:
+        assert not flat
+    else:
+        assert flat
 
 
 def moved(pairs, i, j, k):
