@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .arith import mod_inverse, second_derivative_at_one
 from .covers import SeifertData, seifert_h1_order
 from .errors import InconsistentLkError, NonIntegralAError
-from .lens import index_plus_one
+from .lens import index_plus_one, indices_plus_one
 from .seifert import (
     _exceptional_triple,
     _irreducible_count,
@@ -111,10 +111,9 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """
     sign = two_bridge_signature(p, q)
     entries = [_row(sign % 4, 1, SPECIAL)]
-    q0 = q % p
-    q_param = mod_inverse(q0, p)
-    for ell in range(1, (p - 1) // 2 + 1):
-        mu = (index_plus_one(p, q_param, q0, ell) // 2 + sign) % 4
+    # the indices of L(p, q') read only the inverse of q', which is q itself
+    for ell, index in enumerate(indices_plus_one(p, q), 1):
+        mu = (index // 2 + sign) % 4
         entries.append(_row(mu, 1, REDUCIBLE, ell))
         entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
     return GradedGenerators(tuple(entries))

@@ -12,16 +12,26 @@ over the congruence line i + q*j = 0 (mod p) intersected with the rectangle
 counts interior points, N2 boundary points.
 
 A class is plain integers: callers pass p, q, the inverse r of q and ell,
-so a lens space is validated and inverted once, not once per class.  Both
-counts are closed forms in O(log p): N1 is a difference of two floor sums
-(``arith.floor_sum``) and N2 is 0 or 2 (see ``lattice_counts``).
-``tests/oracles.py`` pins them to a walk over the j-range and to a double
-loop over the whole rectangle.
+so a lens space is validated and inverted once, not once per class.  Two
+routes give the index:
+
+- ``indices_plus_one`` lists the index of every class of one lens space in
+  a single pass over ell with a Fenwick tree, O(p log p) in all; the
+  two-bridge record, which grades all (p-1)/2 classes, takes this route.
+- ``index_plus_one`` gives one class in O(log p): N1 is a difference of two
+  floor sums (``arith.floor_sum``) and N2 is 0 or 2 (see
+  ``lattice_counts``).  The Montesinos-knot route, which needs at most
+  three indices per class, takes this one.
+
+The tests pin the batch to the per-class route, and that route to a walk
+over the j-range and a double loop over the whole rectangle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from .arith import floor_sum
 
@@ -69,3 +79,46 @@ def index_plus_one(p: int, q: int, r: int, ell: int) -> int:
     if total % 2:
         raise ArithmeticError(f"odd index datum {total} for ell = {ell} on L({p}, {q})")
     return total % 8
+
+
+def indices_plus_one(p: int, r: int) -> List[int]:
+    """``index_plus_one(p, q, r, ell)`` for ell = 1 .. (p-1)/2, in one pass.
+
+    Requires odd p > 1 and r invertible mod p; only the inverse r of q
+    enters, through k2 = -r*ell mod p.
+
+    The points of the congruence line with |i| = c are j = +-k2(c) and
+    j = +-(p - k2(c)), so for c < ell they fall inside |j| < k2(ell) as
+    2*[k2(c) < k2(ell)] + 2*[p - k2(c) < k2(ell)], and c = 0 adds the origin.
+    Only 2*N1 mod 8 is needed, that is N1 mod 4, and N1 is 1 plus twice a
+    count, so only the parity of the count matters.  Folding each k2 to
+    m = min(k2, p - k2) in 1 .. (p-1)/2 (classes c != ell fold to distinct
+    values) turns that count into #{c < ell : m(c) < m(ell)} when
+    2*k2(ell) < p, and into 2*(ell - 1) less it otherwise: same parity.
+    So N1 = 1 + 2*#{c < ell : m(c) < m(ell)} (mod 4), one prefix parity
+    and one update per ell on a Fenwick tree of bits over 1 .. (p-1)/2,
+    while N2 = 2 exactly when 2*k2(ell) > p.
+    """
+    half, r = p // 2, r % p
+    tree = [0] * (half + 1)
+    out = []
+    k2 = 0
+    for _ in range(half):
+        k2 -= r
+        if k2 < 0:
+            k2 += p
+        if k2 > half:
+            m, base = p - k2, 4  # 2*1 + N2
+        else:
+            m, base = k2, 2
+        odd = 0
+        i = m - 1
+        while i:
+            odd ^= tree[i]
+            i &= i - 1
+        i = m
+        while i <= half:
+            tree[i] ^= 1
+            i += i & -i
+        out.append((base + 4 * odd) % 8)
+    return out

@@ -5,6 +5,7 @@
   integer matrix.
 - The lens lattice counts by a walk over the j-range and by a double loop
   over the whole rectangle.
+- The torus-knot signature by a lattice count over the (p - 1)(q - 1) grid.
 - The torus-knot Alexander polynomial, as an {exponent: coefficient} dict,
   by exact polynomial division; it feeds ``casson_from_alexander``.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
@@ -192,6 +193,32 @@ def walk_counts(p: int, q: int, ell: int) -> LatticeCounts:
         elif (ai == k1 and aj < k2) or (ai < k1 and aj == k2):
             n2 += 1
     return LatticeCounts(k2=k2, n1=n1, n2=n2)
+
+
+def torus_lattice_signature(p: int, q: int) -> int:
+    """Signature of the right-handed torus knot on (p, q) strands, O(pq).
+
+    Counting rule: each lattice pair (i, j) with 1 <= i < p, 1 <= j < q
+    contributes -1 when (i/p + j/q) mod 2 lies in the open interval
+    (1/2, 3/2), +1 when it lies outside, and 0 on the boundary.  The
+    comparisons are exact integer comparisons after scaling by 4pq.
+    """
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+    if p < 2 or q < 2:
+        raise ValueError(f"torus parameters must be >= 2, got ({p}, {q})")
+    lo, hi = p * q, 3 * p * q
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            u = (2 * (i * q + j * p)) % (4 * p * q)
+            if lo < u < hi:
+                total -= 1
+            elif u != lo and u != hi:
+                total += 1
+    if total % 2:
+        raise ArithmeticError(f"odd signature {total} for ({p}, {q})")
+    return total
 
 
 def _poly_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:

@@ -523,9 +523,14 @@ class TestWorkPerRecord:
             monkeypatch, [(m, "mod_inverse") for m in modules if hasattr(m, "mod_inverse")]
         )
         windows = count_calls(monkeypatch, [(lens, "lattice_counts")])
+        batches = count_calls(
+            monkeypatch, [(lens, "indices_plus_one"), (complexes, "indices_plus_one")]
+        )
         assert run(capsys, "two-bridge", "-p", "1001", "-q", "376", "--json")[0] == 0
         assert len(inverses) <= 1
-        assert len(windows) == 500
+        # all 500 classes are indexed by one batch call, none by the per-class route
+        assert len(windows) == 0
+        assert len(batches) == 1
 
     def test_parser_built_once(self, capsys, monkeypatch):
         assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0

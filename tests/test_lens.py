@@ -3,7 +3,7 @@ import random
 
 from floerchains.arith import mod_inverse
 from floerchains.complexes import two_bridge_generators
-from floerchains.lens import LatticeCounts, index_plus_one, lattice_counts
+from floerchains.lens import LatticeCounts, index_plus_one, indices_plus_one, lattice_counts
 from floerchains.signatures import two_bridge_signature
 
 from oracles import naive_counts, walk_counts
@@ -90,6 +90,36 @@ class TestIndexPlusOne:
                 left = sorted(index_plus_one(*args) for args in classes(p, q))
                 right = sorted(index_plus_one(*args) for args in classes(p, qi))
                 assert left == right
+
+
+class TestIndicesPlusOne:
+    @staticmethod
+    def per_class(p, q):
+        return [index_plus_one(*args) for args in classes(p, q)]
+
+    def test_pinned_values(self):
+        assert indices_plus_one(5, 3) == [2, 4]
+        assert indices_plus_one(3, 2) == [2]
+        assert indices_plus_one(1, 1) == []
+
+    def test_matches_per_class_route_up_to_99(self):
+        for p in range(3, 100, 2):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    assert indices_plus_one(p, mod_inverse(q, p)) == self.per_class(p, q), (p, q)
+
+    def test_reads_r_mod_p(self):
+        assert indices_plus_one(11, 3 + 11) == indices_plus_one(11, 3 - 22) == self.per_class(11, 4)
+
+    def test_large_p_spot_check(self):
+        rng = random.Random(12)
+        p = 100001
+        for q in (37, 2, p - 1, rng.randrange(2, p)):
+            r = mod_inverse(q, p)
+            batch = indices_plus_one(p, r)
+            assert len(batch) == (p - 1) // 2
+            for ell in rng.sample(range(1, (p - 1) // 2 + 1), 50):
+                assert batch[ell - 1] == index_plus_one(p, q, r, ell), (q, ell)
 
 
 class TestMorseBottIndex:

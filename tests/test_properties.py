@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from floerchains.arith import floor_sum, mod_inverse
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import DomainError, FlatCobordismError
-from floerchains.lens import index_plus_one, lattice_counts
+from floerchains.lens import index_plus_one, indices_plus_one, lattice_counts
 from floerchains.seifert import (
     _exceptional_triple,
     _irreducible_count,
@@ -47,6 +47,15 @@ def test_lattice_counts_match_walk(data):
     p, q = data.draw(lens_pairs(401))
     ell = data.draw(st.integers(1, (p - 1) // 2))
     assert lattice_counts(p, q, mod_inverse(q, p), ell) == walk_counts(p, q, ell)
+
+
+@derandomized
+@given(lens_pairs(401))
+def test_batch_indices_match_per_class_route(pair):
+    p, q = pair
+    r = mod_inverse(q, p)
+    per_class = [index_plus_one(p, q, r, ell) for ell in range(1, (p - 1) // 2 + 1)]
+    assert indices_plus_one(p, r) == per_class
 
 
 @derandomized

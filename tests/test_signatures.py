@@ -6,7 +6,7 @@ import pytest
 from floerchains.errors import NotCoprimeError
 from floerchains.signatures import torus_signature, two_bridge_signature
 
-from oracles import even_continued_fraction, goeritz_signature, signature
+from oracles import even_continued_fraction, goeritz_signature, signature, torus_lattice_signature
 
 
 def brick_seifert_matrix(p, q):
@@ -160,10 +160,42 @@ class TestTorusSignature:
 
     def test_agrees_with_seifert_matrix_oracle(self):
         pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (2, 9), (3, 7), (3, 8), (4, 5), (4, 7), (5, 6), (5, 7)]
+        # consecutive and near strand counts fold runs of the second rule
+        pairs += [(5, 8), (6, 7), (7, 8)]
         for p, q in pairs:
             assert torus_signature(p, q) == seifert_oracle_signature(p, q)
+
+    def test_matches_lattice_count(self):
+        for p in range(2, 60):
+            for q in range(p + 1, 60):
+                if math.gcd(p, q) == 1:
+                    assert torus_signature(p, q) == torus_lattice_signature(p, q), (p, q)
+
+    def test_matches_lattice_count_larger(self):
+        rng = random.Random(4)
+        checked = 0
+        while checked < 40:
+            p, q = rng.randrange(2, 300), rng.randrange(2, 300)
+            if math.gcd(p, q) == 1:
+                assert torus_signature(p, q) == torus_lattice_signature(p, q), (p, q)
+                checked += 1
+
+    @pytest.mark.parametrize("p,q,want", [(601, 603, -181200), (3, 100001, -133336)])
+    def test_large_pins(self, p, q, want):
+        # (601, 603) runs the second rule 300 times; (3, 100001) the first 16666 times
+        assert torus_signature(p, q) == torus_signature(q, p) == want
+        assert torus_lattice_signature(p, q) == want
+
+    def test_two_strands(self):
+        for q in (3, 5, 99, 100001):
+            assert torus_signature(2, q) == torus_signature(q, 2) == 1 - q
 
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             torus_signature(4, 6)
+
+    def test_rejects_short_strands(self):
+        for p, q in [(1, 5), (5, 1), (0, 1), (-3, 2)]:
+            with pytest.raises(ValueError):
+                torus_signature(p, q)
 
