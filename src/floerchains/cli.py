@@ -9,7 +9,8 @@ human-readable table or one JSON object with the stable fields input,
 generators, ranks, anchoring, conjectural, warnings (plus notes and
 extras), laid out as ``json.dumps(indent=2, sort_keys=True)`` would.
 ``regress`` replays the golden records of ``golden.jsonl`` through the
-same path, parses back the JSON it prints and diffs each whole record.
+same path, parses back the JSON it prints and diffs each whole record, and
+checks that text byte for byte against ``json.dumps``.
 Exit codes: 0 success, 1 domain or input error (a JSON object with the
 error name under --json), 2 usage error.
 """
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -128,6 +130,35 @@ _JSON_SCALARS = {
 }
 
 
+def _flat_rows(rows, newline: str) -> Optional[str]:
+    """The items of the non-empty list `rows`, as `_write_json` lays them out
+    between its brackets, if every item is an exact dict with the first
+    item's set of str keys and scalar values; None otherwise.
+
+    The keys are sorted and escaped once, into one row template, and every
+    value is encoded in one C ``json.dumps`` call, which gives the same text
+    as `_JSON_SCALARS` for these exact types and never a raw newline.
+    """
+    first = rows[0]
+    if not first or {*map(type, rows)} != {dict}:
+        return None
+    if {*map(len, rows)} != {len(first)} or {*map(type, chain.from_iterable(rows))} != {str}:
+        return None
+    keys = sorted(first)
+    try:
+        values = [row[key] for row in rows for key in keys]
+    except KeyError:  # a row with another key set
+        return None
+    if not {*map(type, values)} <= _JSON_SCALARS.keys():
+        return None
+    encoded = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    inner = newline + "  "
+    row = ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    )
+    return ("," + newline).join(["{" + row + newline + "}"] * len(rows)) % tuple(encoded)
+
+
 def _write_json(value, out: List[str], newline: str) -> None:
     """Append `value` to `out` as ``json.dumps(value, indent=2, sort_keys=True)``
     lays it out, `newline` being the line break and indent of its own level.
@@ -136,6 +167,10 @@ def _write_json(value, out: List[str], newline: str) -> None:
     str, int, bool, None); anything else, a float included, is a TypeError.
     Strings go through the C escaper: with ``indent`` set, ``json.dumps``
     runs CPython's pure-Python encoder, about twice as slow on records.
+    A list of same-shape flat rows, such as a record's generators, is
+    written in one batch by `_flat_rows`.  Any other list (rows with another
+    key set, an empty or nested value, a float, a subclass, a non-str key)
+    declines to the item-by-item loop, which raises the TypeErrors.
     """
     kind = type(value)
     if kind is dict:
@@ -161,6 +196,10 @@ def _write_json(value, out: List[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        rows = _flat_rows(value, inner) if type(value[0]) is dict else None
+        if rows is not None:
+            out.append("[" + inner + rows + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             encode = _JSON_SCALARS.get(type(item))
@@ -387,21 +426,31 @@ def _golden_cases() -> List[Dict]:
 
 def _golden_diff(case: Dict) -> List[str]:
     """One line per top-level key where the replayed record, parsed back from
-    the text ``--json`` prints, differs from the golden one."""
+    the text ``--json`` prints, differs from the golden one, and one more if
+    that text is not laid out byte for byte as ``json.dumps`` lays it out."""
     _, record = _evaluate(_parse(case["argv"]))
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
             _print_record(record, True)
-        actual = json.loads(printed.getvalue())
+        text = printed.getvalue()
+        actual = json.loads(text)
     except (TypeError, ValueError) as err:
         return [f"--json output: {type(err).__name__}: {err}"]
     expected = case["record"]
-    return [
+    problems = [
         f"{key}: expected {expected.get(key)!r}, actual {actual.get(key)!r}"
         for key in sorted(expected.keys() | actual.keys())
         if expected.get(key) != actual.get(key)
     ]
+    reference = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    if text != reference:
+        at = len(os.path.commonprefix([text, reference]))
+        problems.append(
+            f"--json layout: differs from json.dumps(indent=2, sort_keys=True) at "
+            f"character {at}: {text[at:at + 20]!r} instead of {reference[at:at + 20]!r}"
+        )
+    return problems
 
 
 def _euler_sweep_failures() -> List[str]:

@@ -436,6 +436,17 @@ class TestRegress:
         assert code == 1
         assert "ranks: expected [1, 1, 2, 1], actual [2, 2, 3, 2]" in out
 
+    def test_fails_on_a_layout_that_still_parses(self, capsys, monkeypatch):
+        # one space too many in the generator rows' indent: the text parses
+        # back to the same record, so only the byte comparison catches it
+        flat_rows = cli._flat_rows
+        monkeypatch.setattr(cli, "_flat_rows", lambda rows, newline: flat_rows(rows, newline + " "))
+        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        assert code == 1
+        assert f"[FAIL] {GOLDEN[0]['name']}" in out
+        assert "--json layout: differs from json.dumps" in out
+        assert "expected" not in out
+
     def test_passes_under_optimize(self):
         done = run_module("-O", "-m", "floerchains.cli", "regress", timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
@@ -531,6 +542,17 @@ class TestWorkPerRecord:
         # all 500 classes are indexed by one batch call, none by the per-class route
         assert len(windows) == 0
         assert len(batches) == 1
+
+    def test_generator_rows_written_in_one_batch(self, capsys, monkeypatch):
+        # the record, its input, generators, ranks, warnings, notes and extras;
+        # the item-by-item loop would add one call per generator row
+        calls = count_calls(monkeypatch, [(cli, "_write_json")])
+        counts = []
+        for p, q in (("5", "3"), ("1001", "376")):
+            calls.clear()
+            assert run(capsys, "two-bridge", "-p", p, "-q", q, "--json")[0] == 0
+            counts.append(len(calls))
+        assert counts == [7, 7]
 
     def test_parser_built_once(self, capsys, monkeypatch):
         assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0

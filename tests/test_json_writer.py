@@ -1,5 +1,6 @@
 """The --json writer against ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
 
+import collections
 import contextlib
 import io
 import json
@@ -52,9 +53,10 @@ def test_error_objects(argv):
 
 
 # quotes, backslashes, control characters, non-ASCII and astral-plane text,
-# and a lone surrogate
+# a lone surrogate, and the percent sign of a %-format template
 PIECES = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u03bb", "\u2014",
-          "\u2028", "\ufeff", "\U0001f600", "\U0001d11e", "\ud834", "a", "Z", " ", ":", ","]
+          "\u2028", "\ufeff", "\U0001f600", "\U0001d11e", "\ud834", "a", "Z", " ", ":", ",",
+          "%", "s"]
 INTS = [0, 1, -1, 2**31, -(2**63) - 1, 2**64 + 1, 10**40, -(10**40)]
 
 
@@ -62,17 +64,21 @@ def fuzz_string(rng):
     return "".join(rng.choice(PIECES) for _ in range(rng.randrange(6)))
 
 
+def fuzz_scalar(rng):
+    return rng.choice([
+        fuzz_string(rng),
+        rng.choice(INTS),
+        rng.randrange(-(2**70), 2**70),
+        True,
+        False,
+        None,
+    ])
+
+
 def fuzz_value(rng, depth):
     roll = rng.random()
     if depth == 0 or roll < 0.4:
-        return rng.choice([
-            fuzz_string(rng),
-            rng.choice(INTS),
-            rng.randrange(-(2**70), 2**70),
-            True,
-            False,
-            None,
-        ])
+        return fuzz_scalar(rng)
     size = rng.randrange(4)  # 0 gives [] or {}
     if roll < 0.6:
         return [fuzz_value(rng, depth - 1) for _ in range(size)]
@@ -111,5 +117,87 @@ def test_empty_containers_at_every_depth():
     ids=repr,
 )
 def test_rejects_what_a_record_cannot_hold(value):
+    with pytest.raises(TypeError):
+        printed(value)
+
+
+def flat_rows(value):
+    """What the batched row path makes of `value` as a list one level deep."""
+    return cli._flat_rows(value, "\n  ")
+
+
+def fuzz_rows(rng):
+    """1-50 flat rows sharing one key set, each filled in its own key order."""
+    keys = list(dict.fromkeys(fuzz_string(rng) for _ in range(rng.randrange(1, 6))))
+    rows = []
+    for _ in range(rng.randrange(1, 51)):
+        rng.shuffle(keys)
+        rows.append({key: fuzz_scalar(rng) for key in keys})
+    return rows if rng.random() < 0.7 else tuple(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fuzzed_row_lists(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        rows = fuzz_rows(rng)
+        assert flat_rows(rows) is not None, rows
+        assert printed(rows) == dumped(rows), rows
+        record = {"generators": rows, "ranks": [1, 0]}
+        assert printed(record) == dumped(record), rows
+
+
+def test_percent_signs_in_keys():
+    keys = ["%", "%s", "%%", "%(a)s", "%d", "a%", "%%s", "%r%"]
+    rows = [{key: i * len(keys) + j for j, key in enumerate(keys)} for i in range(3)]
+    assert flat_rows(rows) is not None
+    assert printed(rows) == dumped(rows)
+
+
+ROW = {"grading": 1, "id": 2, "multiplicity": 1, "origin": "reducible"}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [ROW, {**ROW, "extra": 0}],
+        [ROW, {k: v for k, v in ROW.items() if k != "id"}],
+        [ROW, {"Grading" if k == "grading" else k: v for k, v in ROW.items()}],
+        [ROW, {}],
+        [{}, {}],
+        [ROW, {**ROW, "id": [1, 2]}],
+        [ROW, {**ROW, "id": {"a": 1}}],
+        [ROW, {**ROW, "id": []}],
+        [1, ROW],
+        [[ROW], ROW],
+        ("a", ROW),
+        [None],
+    ],
+    ids=repr,
+)
+def test_other_lists_decline_to_the_loop(value):
+    assert flat_rows(value) is None
+    assert printed(value) == dumped(value)
+
+
+class StrKey(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [ROW, {**ROW, "id": 2.0}],
+        [ROW, collections.OrderedDict(ROW)],
+        [{**ROW, 1: 0}, {**ROW, 1: 0}],
+        [{1: 0}, {1: 0}],
+        [ROW, {StrKey(k): v for k, v in ROW.items()}],
+        [ROW, {**ROW, "origin": StrKey("reducible")}],
+    ],
+    ids=["float in last row", "dict subclass row", "int key in first row",
+         "int keys only", "str subclass keys in last row", "str subclass value"],
+)
+def test_rows_that_a_record_cannot_hold_raise(value):
+    assert flat_rows(value) is None
     with pytest.raises(TypeError):
         printed(value)
