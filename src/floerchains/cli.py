@@ -113,11 +113,13 @@ def _record(
         "notes": list(notes),
         "extras": extras or {},
     }
-    if ranks is not None and generators is not None and not generators.unknown:
-        if ranks.total != generators.total:
-            raise ArithmeticError(
-                f"ranks {ranks.r} do not sum to the {generators.total} generators"
-            )
+    if (
+        ranks is not None
+        and generators is not None
+        and ranks.total != generators.total
+        and not generators.unknown
+    ):
+        raise ArithmeticError(f"ranks {ranks.r} do not sum to the {generators.total} generators")
     return record
 
 

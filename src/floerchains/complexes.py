@@ -11,8 +11,8 @@ two at mu and two at mu + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
 from .covers import SeifertData, seifert_h1_order
@@ -35,19 +35,24 @@ REDUCIBLE = "reducible"
 IRREDUCIBLE = "irreducible"
 
 
-@dataclass(frozen=True)
-class ChainRanks:
+class ChainRanks(namedtuple("ChainRanks", "r anchoring conjectural")):
     """Rank 4-vector in grading order 0, 1, 2, 3 with its anchoring mode."""
 
-    r: Tuple[int, int, int, int]
-    anchoring: str = ABSOLUTE
-    conjectural: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.r) != 4 or any(x < 0 for x in self.r):
-            raise ValueError(f"ranks must be four non-negative integers, got {self.r}")
-        if self.anchoring not in (ABSOLUTE, CYCLIC):
-            raise ValueError(f"unknown anchoring {self.anchoring!r}")
+    def __new__(
+        cls, r: Tuple[int, int, int, int], anchoring: str = ABSOLUTE, conjectural: bool = False
+    ):
+        if len(r) != 4 or any(x < 0 for x in r):
+            raise ValueError(f"ranks must be four non-negative integers, got {r}")
+        if anchoring not in (ABSOLUTE, CYCLIC):
+            raise ValueError(f"unknown anchoring {anchoring!r}")
+        return super().__new__(cls, r, anchoring, conjectural)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -64,8 +69,7 @@ def _row(
     return {"grading": grading, "id": class_id, "multiplicity": multiplicity, "origin": origin}
 
 
-@dataclass(frozen=True)
-class GradedGenerators:
+class GradedGenerators(NamedTuple):
     """Multiset of generator blocks, possibly with unknown gradings."""
 
     entries: Tuple[Dict, ...]
@@ -81,11 +85,12 @@ class GradedGenerators:
 
     def ranks(self) -> Optional[ChainRanks]:
         """Rank vector when every grading is known, else None."""
-        if self.unknown:
-            return None
         vec = [0, 0, 0, 0]
         for e in self.entries:
-            vec[e["grading"] % 4] += e["multiplicity"]
+            grading = e["grading"]
+            if grading is None:
+                return None
+            vec[grading % 4] += e["multiplicity"]
         return ChainRanks(tuple(vec), ABSOLUTE)
 
 
@@ -244,8 +249,7 @@ def torus_complex(p: int, q: int) -> ChainRanks:
     return ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True)
 
 
-@dataclass(frozen=True)
-class LinkComplex:
+class LinkComplex(NamedTuple):
     """Rank data of a two-component Montesinos link complex.
 
     so3_classes is the number of SO(3) classes with nontrivial w2; each

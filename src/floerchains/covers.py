@@ -9,26 +9,33 @@ grading-shift parity from the linking number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from collections import namedtuple
+from typing import Mapping, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Unnormalized Seifert pairs (a_i, b_i) with a_i >= 1 and gcd(a_i, b_i) = 1."""
+class SeifertData(namedtuple("SeifertData", "pairs")):
+    """Unnormalized Seifert pairs (a_i, b_i) with a_i >= 1 and gcd(a_i, b_i) = 1.
 
-    pairs: Tuple[Tuple[int, int], ...]
+    The pairs are stored as a tuple of int pairs, whatever sequence they came in.
+    """
 
-    def __post_init__(self):
-        if not self.pairs:
+    __slots__ = ()
+
+    def __new__(cls, pairs: Sequence[Tuple[int, int]]):
+        if not pairs:
             raise ValueError("SeifertData needs at least one pair")
-        normalized = tuple((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", normalized)
+        normalized = tuple((int(a), int(b)) for a, b in pairs)
         for a, b in normalized:
             if a < 1:
                 raise ValueError(f"fiber multiplicity must be >= 1, got {a}")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"pair ({a}, {b}) is not coprime")
+        return super().__new__(cls, normalized)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def branched_cover_h1(delta: Mapping[int, int]) -> int:

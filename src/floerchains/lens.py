@@ -30,14 +30,12 @@ over the j-range and a double loop over the whole rectangle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .arith import floor_sum
 
 
-@dataclass(frozen=True)
-class LatticeCounts:
+class LatticeCounts(NamedTuple):
     """Window height and interior/boundary point counts on the congruence line."""
 
     k2: int

@@ -6,6 +6,7 @@ from floerchains.complexes import (
     CYCLIC,
     ChainRanks,
     GradedGenerators,
+    LinkComplex,
     _row,
     casson_from_alexander,
     euler_characteristic,
@@ -25,6 +26,7 @@ from floerchains.errors import (
     NotCoprimeError,
     NotHomologyS1xS2Error,
 )
+from floerchains.lens import LatticeCounts
 from floerchains.signatures import torus_signature
 
 import oracles
@@ -268,9 +270,76 @@ class TestAlexanderRoutes:
 
 class TestChainRanksType:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="four non-negative integers"):
             ChainRanks((1, 2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="four non-negative integers"):
             ChainRanks((1, -1, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown anchoring 'diagonal'"):
             ChainRanks((1, 0, 0, 0), "diagonal")
+        with pytest.raises(ValueError, match="unknown anchoring"):
+            ChainRanks(r=(1, 0, 0, 0), anchoring="diagonal")
+        with pytest.raises(ValueError, match="four non-negative integers"):
+            ChainRanks((1, 0, 0, 0))._replace(r=(1,))
+        with pytest.raises(ValueError, match="unknown anchoring"):
+            ChainRanks._make([(1, 0, 0, 0), "diagonal", False])
+
+    def test_equality_and_hash(self):
+        plain = ChainRanks((1, 0, 0, 0))
+        same = ChainRanks(r=(1, 0, 0, 0), anchoring=ABSOLUTE, conjectural=False)
+        assert plain == same and hash(plain) == hash(same)
+        assert plain != ChainRanks((1, 0, 0, 0), CYCLIC)
+        assert plain != ChainRanks((1, 0, 0, 0), conjectural=True)
+        assert len({plain, same, ChainRanks((0, 1, 0, 0))}) == 2
+
+
+def _record_types():
+    """One instance of each record type, built the way the package builds it,
+    with one of its fields."""
+    link = SeifertData(((2, 1), (5, -2), (10, -1)))
+    cases = [
+        (ChainRanks((2, 0, 2, 0), CYCLIC), "r"),
+        (torus_complex(3, 5), "conjectural"),
+        (two_bridge_generators(5, 3), "entries"),
+        (montesinos_link_complex(link, 4), "so3_classes"),
+        (montesinos_link_complex(link), "split"),
+        (LatticeCounts(k2=2, n1=1, n2=0), "k2"),
+        (SeifertData(((2, -1), (3, 1), (3, 1))), "pairs"),
+    ]
+    return [pytest.param(value, field, id=f"{type(value).__name__}.{field}") for value, field in cases]
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("value, field", _record_types())
+    def test_immutable(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert getattr(value, field) == before and not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("value, field", _record_types())
+    def test_repr_names_the_class(self, value, field):
+        assert repr(value).startswith(f"{type(value).__name__}(")
+        assert f"{field}={getattr(value, field)!r}" in repr(value)
+
+    def test_keyword_construction_and_defaults(self):
+        ranks = ChainRanks((2, 0, 2, 0), CYCLIC)
+        link = LinkComplex(so3_classes=1, candidates=(ranks,), split=(1, 0))
+        assert (link.warnings, link.notes) == ((), ())
+        assert (link.ranks, link.su2_classes, link.total) == (ranks, 2, 4)
+        assert LinkComplex(1, (ranks,), None).ranks is None
+        counts = LatticeCounts(k2=4, n1=5, n2=2)
+        assert (counts.k2, counts.n1, counts.n2) == (4, 5, 2)
+        gens = GradedGenerators(entries=(_row(1, 2, "irreducible"),))
+        assert gens.warnings == ()
+        assert torus_complex(3, 5).conjectural is True
+        assert ChainRanks((1, 0, 0, 0)).anchoring == ABSOLUTE
+
+    def test_ranks_stop_at_the_first_unknown_grading(self):
+        # the walk returns before it reaches a row it could not place
+        gens = GradedGenerators((_row(None, 0, "special"), _row("?", 1, "reducible", 1)))
+        assert gens.ranks() is None
+        assert gens.unknown == 0
+        gens = GradedGenerators((_row(0, 1, "special"), _row(None, 2, "reducible", 1)))
+        assert (gens.ranks(), gens.unknown, gens.total) == (None, 2, 3)

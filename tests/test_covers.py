@@ -76,9 +76,27 @@ class TestSeifertH1Order:
             assert seifert_h1_order(SeifertData(tuple(moved))) == seifert_h1_order(data)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pair \(4, 2\) is not coprime"):
             SeifertData(((4, 2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one pair"):
             SeifertData(())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one pair"):
+            SeifertData(pairs=[])
+        with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
             SeifertData(((0, 1),))
+        with pytest.raises(ValueError, match=r"pair \(4, 2\) is not coprime"):
+            SeifertData(((2, 1),))._replace(pairs=[(4, 2)])
+
+    def test_pairs_are_normalized_to_int_tuples(self):
+        data = SeifertData([[2, -1], (3, True), ("3", 1)])
+        assert data.pairs == ((2, -1), (3, 1), (3, 1))
+        assert all(type(x) is int for pair in data.pairs for x in pair)
+        assert type(data.pairs) is tuple and all(type(pair) is tuple for pair in data.pairs)
+        assert data._replace(pairs=[[5, 2]]).pairs == ((5, 2),)
+
+    def test_equality_and_hash(self):
+        data = SeifertData(((2, -1), (3, 1), (3, 1)))
+        same = SeifertData(pairs=[[2, -1], [3, 1], [3, 1]])
+        assert data == same and hash(data) == hash(same)
+        assert data != SeifertData(((2, 1), (3, 1), (3, 1)))
+        assert len({data, same}) == 1

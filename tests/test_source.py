@@ -1,6 +1,8 @@
 """Checks on the shipped source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import floerchains
@@ -83,15 +85,30 @@ def test_exports_have_a_shipping_caller():
     assert sorted(unused) == []
 
 
-def _is_dataclass(node):
-    return any(
-        getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass"
-        or getattr(getattr(deco, "func", None), "id", None) == "dataclass"
-        for deco in node.decorator_list
-    )
+def _record_fields(tree):
+    """Qualified field names of the record types in a module: the annotated
+    body of each ``NamedTuple`` class and the field names of each
+    ``namedtuple(name, fields)`` call, whether it is assigned or a class base."""
+    fields = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in node.bases
+        ):
+            fields.update(
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "namedtuple"
+        ):
+            name, names = (ast.literal_eval(arg) for arg in node.args[:2])
+            fields.update(f"{name}.{field}" for field in names.replace(",", " ").split())
+    return fields
 
 
-def test_dataclass_fields_are_read():
+def test_record_type_fields_are_read():
     # a field nothing in the package reads is dead weight on every instance;
     # LatticeCounts.k2 is exempt because perfbench/layers.py reads it to
     # size the lens window
@@ -100,14 +117,43 @@ def test_dataclass_fields_are_read():
     read = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields.update(
-                    f"{node.name}.{item.target.id}"
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                )
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        fields |= _record_fields(tree)
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    # the rule has something to check: every record type of the package
+    assert {name.partition(".")[0] for name in fields} == {
+        "ChainRanks",
+        "GradedGenerators",
+        "LatticeCounts",
+        "LinkComplex",
+        "SeifertData",
+    }
     unread = {name for name in fields if name.rpartition(".")[2] not in read}
     assert sorted(unread - exempt) == []
+
+
+# dataclasses loads inspect, which loads ast, dis and tokenize: about a
+# third of the import time every CLI invocation pays
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+IMPORT_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import floerchains.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_skips_slow_modules():
+    src = str(Path(floerchains.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "floerchains.cli" in loaded
+    assert sorted(loaded & SLOW_IMPORTS) == []
