@@ -3,16 +3,17 @@
 The package computes in integers only: no ``Fraction`` is built anywhere,
 and a Laurent polynomial is a plain {exponent: coefficient} dict.  This
 module holds the handful of exact routines the topology pipelines need:
-modular inverses, floor sums, the second derivative at 1 of a Laurent
-polynomial and Smith normal form.  The Goeritz-form oracle of the
-two-bridge signature (even continued fractions and exact signatures of
-symmetric integer matrices) lives in ``tests/oracles.py``.
+modular inverses, floor sums and the second derivative at 1 of a Laurent
+polynomial.  The package keeps no general matrix algorithm.  The test
+oracles in ``tests/oracles.py`` hold the Smith normal form of the Seifert
+H1 presentation and the Goeritz form of the two-bridge signature (even
+continued fractions and exact signatures of symmetric integer matrices).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Sequence, Tuple
+from typing import Mapping
 
 from .errors import NotCoprimeError, NotNormalizedError
 
@@ -65,99 +66,3 @@ def second_derivative_at_one(delta: Mapping[int, int]) -> int:
     if any(delta.get(-e, 0) != c for e, c in delta.items()):
         raise NotNormalizedError("delta(t) != delta(1/t)")
     return sum(c * e * (e - 1) for e, c in delta.items())
-
-
-def _identity(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Return unimodular U, V and diagonal D with U * A * V = D.
-
-    Diagonal entries are non-negative and satisfy the divisibility chain
-    d1 | d2 | ... .  Intended for the small relation matrices of Seifert
-    presentations; the algorithm is the textbook pivot-and-reduce loop.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise ValueError("ragged matrix")
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        for k in range(n):
-            a[dst][k] += f * a[src][k]
-        for k in range(m):
-            u[dst][k] += f * u[src][k]
-
-    def add_col(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
-        dirty = False
-        for i in range(t + 1, m):
-            f = a[i][t] // a[t][t]
-            if f:
-                add_row(i, t, -f)
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, n):
-            f = a[t][j] // a[t][t]
-            if f:
-                add_col(j, t, -f)
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        rem = next(
-            (
-                (i, j)
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % a[t][t] != 0
-            ),
-            None,
-        )
-        if rem is not None:
-            add_row(t, rem[0], 1)
-            continue
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
-
-    return u, a, v

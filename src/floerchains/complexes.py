@@ -15,7 +15,7 @@ from collections import namedtuple
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
-from .covers import SeifertData, seifert_h1_order
+from .covers import SeifertData
 from .errors import InconsistentLkError, NonIntegralAError
 from .lens import index_plus_one, indices_plus_one
 from .seifert import (
@@ -143,17 +143,19 @@ def montesinos_knot_complex(
 
     Requires a finite odd |H1| and the flat-cobordism condition
     a_1 * a_2 * a_3 = lcm(a_1, a_2, a_3) * |H1|, both checked by
-    ``reducible_characters`` on the Smith normal form.  Reducible classes are
-    graded through the per-fiber lens indices whenever every fiber they
-    touch has odd multiplicity, and are left unknown otherwise.
-    Irreducible classes are graded by the given block 4-vector if one is
-    supplied, by the pairing argument when the cover is a homology sphere,
-    and are otherwise left unknown.
+    ``reducible_characters``, which returns the (|H1| - 1) / 2 classes in
+    lexicographic order of their rotation numbers; reducible class k (the
+    block id) is the k-th in that order.  Reducible classes are graded
+    through the per-fiber lens indices whenever every fiber they touch has
+    odd multiplicity, and are left unknown otherwise.  Irreducible classes
+    are graded by the given block 4-vector if one is supplied, by the
+    pairing argument when the cover is a homology sphere (no reducible
+    class), and are otherwise left unknown.
     """
     if sign_k % 2:
         raise ValueError(f"knot signatures are even, got {sign_k}")
     reduced = _exceptional_triple(s)
-    order = seifert_h1_order(reduced)
+    classes = reducible_characters(reduced)
 
     warnings: List[str] = []
     entries = [_row(sign_k % 4, 1, SPECIAL)]
@@ -162,7 +164,7 @@ def montesinos_knot_complex(
         (a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs
     ]
 
-    for idx, ells in enumerate(reducible_characters(reduced), start=1):
+    for idx, ells in enumerate(classes, start=1):
         active = [(lens, ell) for lens, ell in zip(lenses, ells) if ell != 0]
         if any(lens is None for lens, _ in active):
             warnings.append(
@@ -196,7 +198,7 @@ def montesinos_knot_complex(
             for g, count in enumerate(block):
                 if count:
                     entries.append(_row(g, count, IRREDUCIBLE))
-        elif order == 1:
+        elif not classes:
             # homology sphere: the degree-4 pairing spreads the classes
             # uniformly, one generator per class in every grading
             for g in range(4):

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, List, Sequence, Tuple
 
-from .arith import mod_inverse, smith_normal_form
+from .arith import mod_inverse
 from .covers import SeifertData, seifert_h1_order
 from .errors import (
     BadTwistMaskError,
@@ -149,67 +150,56 @@ def brieskorn_seifert_data(p: int, q: int, r: int) -> SeifertData:
     return SeifertData(((p, b1), (q, b2), (r, rem // pq)))
 
 
-def _h1_presentation(pairs) -> List[List[int]]:
-    """Relation matrix on generators (x_1, ..., x_n, h)."""
-    n = len(pairs)
-    rows = []
-    for i, (a, b) in enumerate(pairs):
-        row = [0] * (n + 1)
-        row[i] = a
-        row[n] = b
-        rows.append(row)
-    rows.append([1] * n + [0])
-    return rows
-
-
 def reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     """Nontrivial characters of H1 into SO(2), up to inversion.
 
-    Characters are computed from the Smith normal form of the relation
-    matrix and scanned as integers mod the lcm of its diagonal, one per
-    inverse pair, in lexicographic order of their SNF coordinates.  Each
-    class is returned as its induced rotation numbers: on fiber i the
-    folded numerator of the character value on x_i, a representation of
-    Z/a_i.
+    The data must reduce to three exceptional fibers with finite odd |H1|
+    and a flat cobordism, a_1*a_2*a_3 = lcm(a_i) * |H1|.  Flatness makes
+    every character trivial on h, so a character is a triple k_i in Z/a_i
+    with sum k_i * (L / a_i) = 0 (mod L), L the lcm.  The walk runs over
+    the smallest fiber; for each k on it the second fiber steps through the
+    arithmetic progression of solutions of that congruence mod L / a_3,
+    and the third is solved for: O(a_min + |H1|) steps.  Each class is
+    returned as its induced rotation numbers ell_i = min(k_i, a_i - k_i),
+    and the classes come sorted by these tuples.
     """
-    reduced = absorb_trivial_fibers(s)
-    pairs = reduced.pairs
-    order = seifert_h1_order(reduced)
+    pairs = absorb_trivial_fibers(s).pairs
+    if len(pairs) != 3:
+        raise UnsupportedFiberCountError(
+            f"need exactly 3 exceptional fibers, got {pairs}"
+        )
+    order = seifert_h1_order(s)
     if order == 0:
         raise InfiniteH1Error("first homology is infinite")
     if order % 2 == 0:
         raise EvenOrderError(f"|H1| = {order} is even")
-
-    n = len(pairs)
-    _, d, v = smith_normal_form(_h1_presentation(pairs))
-    diag = [d[j][j] for j in range(n + 1)]
-    if math.prod(diag) != order:
-        raise ArithmeticError(f"Smith diagonal {diag} does not multiply to |H1| = {order}")
-    if any(v[n][j] % diag[j] for j in range(n + 1)):
+    mults = [a for a, _ in pairs]
+    lcm = math.lcm(*mults)
+    if math.prod(mults) != lcm * order:
         raise FlatCobordismError(
             "central fiber class survives in H1; characters do not extend flatly"
         )
 
-    # character values scaled by L = lcm(diag): the value on generator i of
-    # the character with coordinates combo is sum_j cols[i][j]*combo[j] / L
-    lcm = math.lcm(*diag)
-    cols = [[v[i][j] * (lcm // diag[j]) for j in range(n + 1)] for i in range(n + 1)]
-    classes = []
-    for combo in itertools.product(*(range(dj) for dj in diag)):
-        # odd order: no character is its own inverse, so keep the smaller of
-        # combo and its negation; the first of each pair in the scan is kept
-        if combo >= tuple(-c % dj for c, dj in zip(combo, diag)):
+    # walk order: fiber i smallest, then j, then t; the congruence on
+    # (k_i, k_j) is k_i*w_i + k_j*w_j = 0 (mod m) with m = L / a_t
+    walk = sorted(range(3), key=lambda i: mults[i])
+    (ai, wi), (aj, wj), (at, m) = ((mults[i], lcm // mults[i]) for i in walk)
+    g = math.gcd(wj, m)
+    step = m // g
+    inv = pow(wj // g, -1, step)
+    found = []
+    for ki in range(ai):
+        c = -ki * wi
+        if c % g:
             continue
-        values = [sum(x * c for x, c in zip(row, combo)) % lcm for row in cols]
-        if values[n]:
-            raise ArithmeticError(f"character {combo} is nontrivial on h")
-        ells = []
-        for (a, _), w in zip(pairs, values):
-            if w * a % lcm:
-                raise ArithmeticError(f"character value {w}/{lcm} is not in (1/{a})Z")
-            k = w * a // lcm
-            ells.append(min(k, a - k))
-        classes.append(tuple(ells))
+        li = min(ki, ai - ki)
+        for kj in range(c // g * inv % step, aj, step):
+            kt = (c - kj * wj) // m % at
+            found.append((li, min(kj, aj - kj), min(kt, at - kt)))
+    back = operator.itemgetter(*(walk.index(i) for i in range(3)))
+    # k and -k fold to the same tuple and |H1| is odd, so after the trivial
+    # character, which sorts first, every class appears exactly twice
+    classes = sorted(map(back, found))[1::2]
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
     return classes

@@ -11,8 +11,9 @@
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
 - The Seifert |H1| as |e * a_1 * ... * a_n| with the Euler number e summed
   in ``Fraction``s.
-- The reducible character classes with ``Fraction`` values, one class per
-  inverse pair kept through a dict of seen values.
+- The Smith normal form, and with it the reducible character classes with
+  ``Fraction`` values read off the Smith-form dual of the H1 presentation,
+  one class per inverse pair kept through a dict of seen values.
 - The rotation sweep over the whole parity grid with ``Fraction`` angles;
   the shipping sweep's tuples, its ell_3 intervals expanded, and the list of
   irreducible classes they make (the shipping code only counts them).
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from floerchains.arith import mod_inverse, smith_normal_form
+from floerchains.arith import mod_inverse
 from floerchains.complexes import ChainRanks, two_bridge_generators
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
@@ -38,7 +39,6 @@ from floerchains.errors import (
 from floerchains.lens import LatticeCounts
 from floerchains.seifert import (
     _exceptional_triple,
-    _h1_presentation,
     _rotation_intervals,
     absorb_trivial_fibers,
 )
@@ -302,12 +302,123 @@ def enumerate_reducibles(s: SeifertData) -> int:
     return (order - 1) // 2
 
 
+def _identity(n: int) -> List[List[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
+    """Return unimodular U, V and diagonal D with U * A * V = D.
+
+    Diagonal entries are non-negative and satisfy the divisibility chain
+    d1 | d2 | ... .  Intended for the small relation matrices of Seifert
+    presentations; the algorithm is the textbook pivot-and-reduce loop.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("ragged matrix")
+    u = _identity(m)
+    v = _identity(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, f):
+        for k in range(n):
+            a[dst][k] += f * a[src][k]
+        for k in range(m):
+            u[dst][k] += f * u[src][k]
+
+    def add_col(dst, src, f):
+        for row in a:
+            row[dst] += f * row[src]
+        for row in v:
+            row[dst] += f * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
+        dirty = False
+        for i in range(t + 1, m):
+            f = a[i][t] // a[t][t]
+            if f:
+                add_row(i, t, -f)
+            if a[i][t]:
+                dirty = True
+        for j in range(t + 1, n):
+            f = a[t][j] // a[t][t]
+            if f:
+                add_col(j, t, -f)
+            if a[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        rem = next(
+            (
+                (i, j)
+                for i in range(t + 1, m)
+                for j in range(t + 1, n)
+                if a[i][j] % a[t][t] != 0
+            ),
+            None,
+        )
+        if rem is not None:
+            add_row(t, rem[0], 1)
+            continue
+        if a[t][t] < 0:
+            for k in range(n):
+                a[t][k] = -a[t][k]
+            for k in range(m):
+                u[t][k] = -u[t][k]
+        t += 1
+
+    return u, a, v
+
+
+def _h1_presentation(pairs) -> List[List[int]]:
+    """Relation matrix on generators (x_1, ..., x_n, h)."""
+    n = len(pairs)
+    rows = []
+    for i, (a, b) in enumerate(pairs):
+        row = [0] * (n + 1)
+        row[i] = a
+        row[n] = b
+        rows.append(row)
+    rows.append([1] * n + [0])
+    return rows
+
+
 def fraction_reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     """Nontrivial characters of H1 into SO(2) up to inversion, with Fraction values.
 
     Every element of the Smith-form dual is evaluated on the generators as
     a tuple of fractions in [0, 1); a class is kept the first time neither
-    it nor its inverse has been seen.
+    it nor its inverse has been seen.  Flatness is checked on the Smith
+    form: the central fiber class must vanish in H1.  The classes are
+    returned sorted by their rotation numbers.
     """
     reduced = absorb_trivial_fibers(s)
     pairs = reduced.pairs
@@ -356,7 +467,7 @@ def fraction_reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
         classes.append(tuple(ells))
     if len(classes) != (order - 1) // 2:
         raise ArithmeticError(f"{len(classes)} character classes for |H1| = {order}")
-    return classes
+    return sorted(classes)
 
 
 def fraction_sweep(pairs, m: int, parity_shift: Sequence[int]) -> List[Tuple[int, ...]]:

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from floerchains.arith import (
-    floor_sum,
-    mod_inverse,
-    second_derivative_at_one,
-    smith_normal_form,
-)
+from floerchains.arith import floor_sum, mod_inverse, second_derivative_at_one
 from floerchains.errors import NotCoprimeError, NotNormalizedError
 
-from oracles import evaluate_minus_fraction, even_continued_fraction, signature
+from oracles import (
+    evaluate_minus_fraction,
+    even_continued_fraction,
+    signature,
+    smith_normal_form,
+)
 
 
 class TestModInverse:

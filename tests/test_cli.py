@@ -531,9 +531,11 @@ class TestWorkPerRecord:
 
     def test_knot_sets_up_once(self, capsys, monkeypatch):
         # one reduction to the exceptional triple, counted from the knot
-        # complex; reducible_characters folds the trivial fibers once more
+        # complex; reducible_characters folds the trivial fibers once more.
+        # |H1| once for the record's extras and once in reducible_characters,
+        # whose class list tells the knot complex whether |H1| = 1
         modules = (cli, complexes, covers, seifert)
-        names = ("_exceptional_triple", "absorb_trivial_fibers")
+        names = ("_exceptional_triple", "absorb_trivial_fibers", "seifert_h1_order")
         calls = {
             name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
             for name in names
@@ -541,7 +543,11 @@ class TestWorkPerRecord:
         argv = ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature", "-6", "--json"]
         assert run(capsys, *argv)[0] == 0
         counts = {name: len(found) for name, found in calls.items()}
-        assert counts == {"_exceptional_triple": 1, "absorb_trivial_fibers": 2}
+        assert counts == {
+            "_exceptional_triple": 1,
+            "absorb_trivial_fibers": 2,
+            "seifert_h1_order": 2,
+        }
 
     def test_odd_torus_signature_once(self, capsys, monkeypatch):
         bindings = [(signatures, "torus_signature"), (complexes, "torus_signature")]

@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
+from floerchains.complexes import torus_even_seifert_data
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import DomainError, FlatCobordismError
 from floerchains.lens import index_plus_one, indices_plus_one, lattice_counts
@@ -146,19 +147,21 @@ def flat_triples(product_max=6000):
     )
 )
 def test_smith_form_flatness_matches_product_over_lcm(pairs):
-    # for odd finite |H1| the Smith-form check in reducible_characters is the
-    # divisibility a_1*a_2*a_3 = lcm(a_1, a_2, a_3) * |H1|
+    # for odd finite |H1| the oracle's Smith-form check (the central fiber
+    # class vanishes in H1) and the product rule of reducible_characters,
+    # a_1*a_2*a_3 = lcm(a_1, a_2, a_3) * |H1|, accept the same triples
     s = SeifertData(pairs)
     order = seifert_h1_order(s)
     assume(order % 2)
     a = [a for a, _ in pairs]
     flat = math.prod(a) == math.lcm(*a) * order
-    try:
-        reducible_characters(s)
-    except FlatCobordismError:
-        assert not flat
-    else:
-        assert flat
+    for route in (reducible_characters, fraction_reducible_characters):
+        try:
+            route(s)
+        except FlatCobordismError:
+            assert not flat
+        else:
+            assert flat
 
 
 def moved(pairs, i, j, k):
@@ -169,14 +172,37 @@ def moved(pairs, i, j, k):
     return tuple(pairs)
 
 
+def character_outcome(route, s):
+    """The route's character classes, or the name of the error it raises."""
+    try:
+        return route(s)
+    except DomainError as err:
+        return type(err).__name__
+
+
 @derandomized
 @given(st.data())
 def test_reducible_characters_match_fraction_oracle(data):
-    pairs = data.draw(st.sampled_from(flat_triples()))
-    pairs = tuple(data.draw(st.permutations(pairs)))
-    i, j = data.draw(st.permutations(range(3)))[:2]
-    s = SeifertData(moved(pairs, i, j, data.draw(st.integers(-2, 2))))
-    assert reducible_characters(s) == fraction_reducible_characters(s)
+    # flat triples moved along their fibers; arbitrary triples, most of them
+    # not flat or of even order; triples with e = 0, whose H1 is infinite;
+    # and the covers of torus knots with an even strand count, p <= 201
+    kind = data.draw(st.sampled_from(("flat", "arbitrary", "infinite", "torus")))
+    if kind == "flat":
+        pairs = data.draw(st.sampled_from(flat_triples()))
+        pairs = tuple(data.draw(st.permutations(pairs)))
+        i, j = data.draw(st.permutations(range(3)))[:2]
+        pairs = moved(pairs, i, j, data.draw(st.integers(-2, 2)))
+    elif kind == "arbitrary":
+        pairs = data.draw(st.tuples(*[seifert_pairs(a_max=9, b_max=20, trivial=False)] * 3))
+    elif kind == "infinite":
+        pairs = data.draw(link_triples())
+    else:
+        p = 2 * data.draw(st.integers(1, 100)) + 1
+        r = data.draw(st.integers(2, 100).filter(lambda r: math.gcd(p, r) == 1))
+        pairs = torus_even_seifert_data(p, 2 * r).pairs
+    s = SeifertData(pairs)
+    want = character_outcome(fraction_reducible_characters, s)
+    assert character_outcome(reducible_characters, s) == want
 
 
 @st.composite

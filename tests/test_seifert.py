@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,36 @@ class TestReducibleCharacters:
             assert len(classes) == enumerate_reducibles(data)
             oracle = fraction_reducible_characters(data)
             assert classes == oracle, data
+
+    @pytest.mark.parametrize(
+        "pairs,want",
+        [
+            (
+                ((30021, 25018), (30027, -35032), (3, 1)),
+                [(0, 10009, 1), (10007, 0, 1), (10007, 10009, 0), (10007, 10009, 1)],
+            ),
+            (
+                ((300000021, 23333335), (300000111, -123333379), (3, 1)),
+                [
+                    (0, 100000037, 1),
+                    (100000007, 0, 1),
+                    (100000007, 100000037, 0),
+                    (100000007, 100000037, 1),
+                ],
+            ),
+        ],
+    )
+    def test_walks_the_smallest_fiber(self, pairs, want):
+        # |H1| = 9: the walk over the fiber of multiplicity 3 takes 3 + 9
+        # steps.  A walk over a larger fiber takes at least its multiplicity
+        # in steps, about 3 * 10^8 on the second triple, and a double loop
+        # over the two fibers listed first about 9 * 10^8 on the first
+        data = SeifertData(pairs)
+        assert seifert_h1_order(data) == 9
+        start = time.perf_counter()
+        classes = reducible_characters(data)
+        assert time.perf_counter() - start < 1.0
+        assert classes == want
 
     def test_non_flat_rejected(self):
         # (3,1),(3,1),(3,1): |H1| = 27 but lcm * |H1| = 81 != 27
