@@ -19,8 +19,8 @@ from .covers import SeifertData
 from .errors import InconsistentLkError, NonIntegralAError
 from .lens import index_plus_one, indices_plus_one
 from .seifert import (
-    _exceptional_triple,
     _irreducible_count,
+    _reduced_cover,
     casson,
     enumerate_projective,
     reducible_characters,
@@ -141,21 +141,22 @@ def montesinos_knot_complex(
 ) -> GradedGenerators:
     """Generator blocks for a Montesinos knot with three exceptional fibers.
 
-    Requires a finite odd |H1| and the flat-cobordism condition
-    a_1 * a_2 * a_3 = lcm(a_1, a_2, a_3) * |H1|, both checked by
-    ``reducible_characters``, which returns the (|H1| - 1) / 2 classes in
-    lexicographic order of their rotation numbers; reducible class k (the
-    block id) is the k-th in that order.  Reducible classes are graded
-    through the per-fiber lens indices whenever every fiber they touch has
-    odd multiplicity, and are left unknown otherwise.  Irreducible classes
-    are graded by the given block 4-vector if one is supplied, by the
-    pairing argument when the cover is a homology sphere (no reducible
-    class), and are otherwise left unknown.
+    ``_reduced_cover`` folds the trivial fibers, checks that three
+    exceptional ones remain and gives |H1|.  ``reducible_characters`` then
+    checks that |H1| is finite and odd and that the cobordism is flat,
+    a_1 * a_2 * a_3 = lcm(a_1, a_2, a_3) * |H1|, and returns the
+    (|H1| - 1) / 2 classes in lexicographic order of their rotation
+    numbers; reducible class k (the block id) is the k-th in that order.
+    Reducible classes are graded through the per-fiber lens indices
+    whenever every fiber they touch has odd multiplicity, and are left
+    unknown otherwise.  Irreducible classes are graded by the given block
+    4-vector if one is supplied, by the pairing argument when the cover is
+    a homology sphere (no reducible class), and are otherwise left unknown.
     """
     if sign_k % 2:
         raise ValueError(f"knot signatures are even, got {sign_k}")
-    reduced = _exceptional_triple(s)
-    classes = reducible_characters(reduced)
+    reduced, order = _reduced_cover(s)
+    classes = reducible_characters(reduced, order)
 
     warnings: List[str] = []
     entries = [_row(sign_k % 4, 1, SPECIAL)]

@@ -41,29 +41,25 @@ from .errors import (
 )
 
 
-def absorb_trivial_fibers(s: SeifertData) -> SeifertData:
-    """Fold every (1, b) pair into an exceptional fiber, preserving the manifold.
+def _reduced_cover(s: SeifertData) -> Tuple[SeifertData, int]:
+    """The data reduced to three exceptional fibers, and its |H1|.
 
-    Moving b from a (1, b) pair onto (a, c) yields (a, c + a*b); a bare
-    (1, 0) pair is then dropped.  With no exceptional fiber at all the sum
-    is kept as a single (1, b) pair.
+    Every (1, b) pair is folded into the first exceptional fiber: moving b
+    onto (a, c) yields (a, c + a*b), the same manifold.  Data with no
+    exceptional fiber reduces to the single pair (1, sum of the b).  Raises
+    UnsupportedFiberCountError unless three exceptional fibers remain; |H1|
+    is ``seifert_h1_order`` of the triple, 0 when it is infinite.
     """
     shift = sum(b for a, b in s.pairs if a == 1)
-    rest = [(a, b) for a, b in s.pairs if a > 1]
-    if not rest:
-        return SeifertData(((1, shift),))
-    a0, b0 = rest[0]
-    rest[0] = (a0, b0 + a0 * shift)
-    return SeifertData(tuple(rest))
-
-
-def _exceptional_triple(s: SeifertData) -> SeifertData:
-    reduced = absorb_trivial_fibers(s)
-    if len(reduced.pairs) != 3 or any(a == 1 for a, _ in reduced.pairs):
+    pairs = [(a, b) for a, b in s.pairs if a > 1] or [(1, 0)]
+    a0, b0 = pairs[0]
+    pairs[0] = (a0, b0 + a0 * shift)
+    if len(pairs) != 3:
         raise UnsupportedFiberCountError(
-            f"need exactly 3 exceptional fibers, got {reduced.pairs}"
+            f"need exactly 3 exceptional fibers, got {tuple(pairs)}"
         )
-    return reduced
+    reduced = SeifertData(pairs)
+    return reduced, seifert_h1_order(reduced)
 
 
 def _rotation_intervals(
@@ -150,30 +146,25 @@ def brieskorn_seifert_data(p: int, q: int, r: int) -> SeifertData:
     return SeifertData(((p, b1), (q, b2), (r, rem // pq)))
 
 
-def reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
+def reducible_characters(s: SeifertData, order: int) -> List[Tuple[int, ...]]:
     """Nontrivial characters of H1 into SO(2), up to inversion.
 
-    The data must reduce to three exceptional fibers with finite odd |H1|
-    and a flat cobordism, a_1*a_2*a_3 = lcm(a_i) * |H1|.  Flatness makes
-    every character trivial on h, so a character is a triple k_i in Z/a_i
-    with sum k_i * (L / a_i) = 0 (mod L), L the lcm.  The walk runs over
-    the smallest fiber; for each k on it the second fiber steps through the
-    arithmetic progression of solutions of that congruence mod L / a_3,
-    and the third is solved for: O(a_min + |H1|) steps.  Each class is
-    returned as its induced rotation numbers ell_i = min(k_i, a_i - k_i),
-    and the classes come sorted by these tuples.
+    Takes the three exceptional fibers and the |H1| of ``_reduced_cover``.
+    |H1| must be finite and odd, and the cobordism flat: a_1*a_2*a_3 =
+    lcm(a_i) * |H1|.  Flatness makes every character trivial on h, so a
+    character is a triple k_i in Z/a_i with sum k_i * (L / a_i) = 0
+    (mod L), L the lcm.  The walk runs over the smallest fiber; for each k
+    on it the second fiber steps through the arithmetic progression of
+    solutions of that congruence mod L / a_3, and the third is solved for:
+    O(a_min + |H1|) steps.  Each class is returned as its induced rotation
+    numbers ell_i = min(k_i, a_i - k_i), and the classes come sorted by
+    these tuples.
     """
-    pairs = absorb_trivial_fibers(s).pairs
-    if len(pairs) != 3:
-        raise UnsupportedFiberCountError(
-            f"need exactly 3 exceptional fibers, got {pairs}"
-        )
-    order = seifert_h1_order(s)
     if order == 0:
         raise InfiniteH1Error("first homology is infinite")
     if order % 2 == 0:
         raise EvenOrderError(f"|H1| = {order} is even")
-    mults = [a for a, _ in pairs]
+    mults = [a for a, _ in s.pairs]
     lcm = math.lcm(*mults)
     if math.prod(mults) != lcm * order:
         raise FlatCobordismError(
@@ -241,17 +232,18 @@ def _w2_shifts(pairs) -> Tuple[int, ...]:
 def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     """SO(3) classes with nontrivial w2, one per orbit of the free sign action.
 
-    The cover must be a homology S^1 x S^2 with three exceptional fibers.
-    SU(2) classes of the relations twisted by _w2_shifts come from the
-    rotation sweep; the nontrivial character of H1(.; Z/2) acts on them by
-    ell_i -> a_i - ell_i on the fibers it hits (and flips the central sign
-    when it is nonzero on h), and orbits have size two.  Each orbit is
-    returned as the (m, ells) pair of its first member in sweep order.
+    The data must reduce to three exceptional fibers (``_reduced_cover``,
+    checked first) whose cover is a homology S^1 x S^2.  SU(2) classes of
+    the relations twisted by _w2_shifts come from the rotation sweep; the
+    nontrivial character of H1(.; Z/2) acts on them by ell_i -> a_i - ell_i
+    on the fibers it hits (and flips the central sign when it is nonzero
+    on h), and orbits have size two.  Each orbit is returned as the
+    (m, ells) pair of its first member in sweep order.
     """
-    order = seifert_h1_order(s)
+    s, order = _reduced_cover(s)
     if order != 0:
         raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
-    pairs = _exceptional_triple(s).pairs
+    pairs = s.pairs
     shifts = _w2_shifts(pairs)
     characters = [chi for chi in _mod2_solutions(pairs, (0, 0, 0)) if any(chi)]
     if len(characters) != 1:

@@ -37,11 +37,7 @@ from floerchains.errors import (
     NotCoprimeError,
 )
 from floerchains.lens import LatticeCounts
-from floerchains.seifert import (
-    _exceptional_triple,
-    _rotation_intervals,
-    absorb_trivial_fibers,
-)
+from floerchains.seifert import _reduced_cover, _rotation_intervals
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -282,6 +278,18 @@ def two_bridge_complex(p: int, q: int) -> ChainRanks:
     return ranks
 
 
+def two_bridge_rank_vector(p: int, q: int) -> Tuple[int, ...]:
+    """Two-bridge ranks in closed form, from p and the Goeritz signature alone.
+
+    r_g = floor(p/4) + [(g - s) mod 4 < p mod 4] with s = (sigma + p - 1)/2
+    mod 4: the p generators fill the four gradings evenly, and the p mod 4
+    left over sit at consecutive gradings from s.  The identity is observed
+    and checked, not derived; it shares no step with the lens-index route.
+    """
+    s = (goeritz_signature(p, q) + p - 1) // 2 % 4
+    return tuple(p // 4 + ((g - s) % 4 < p % 4) for g in range(4))
+
+
 def fraction_h1_order(s: SeifertData) -> int:
     """|H1| of the Seifert space as |e * a_1 * ... * a_n| with e = sum(b_i / a_i)."""
     total = sum((Fraction(b, a) for a, b in s.pairs), Fraction(0))
@@ -420,9 +428,8 @@ def fraction_reducible_characters(s: SeifertData) -> List[Tuple[int, ...]]:
     form: the central fiber class must vanish in H1.  The classes are
     returned sorted by their rotation numbers.
     """
-    reduced = absorb_trivial_fibers(s)
+    reduced, order = _reduced_cover(s)
     pairs = reduced.pairs
-    order = seifert_h1_order(reduced)
     if order == 0:
         raise InfiniteH1Error("first homology is infinite")
     if order % 2 == 0:
@@ -500,7 +507,7 @@ def enumerate_irreducibles(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     Central sign (-1)^m and rotation numbers, over both central signs; the
     shipping code only counts them (``seifert._irreducible_count``).
     """
-    pairs = _exceptional_triple(s).pairs
+    pairs = _reduced_cover(s)[0].pairs
     return [(m, ells) for m in (0, 1) for ells in rotation_sweep(pairs, m, (0, 0, 0))]
 
 

@@ -72,7 +72,7 @@ def test_criterion_2_brieskorn_2_3_7():
 def test_criterion_3_montesinos_knot_pipeline():
     data = SeifertData(((2, -1), (3, 1), (3, 1)))
     assert seifert_h1_order(data) == 3
-    classes = reducible_characters(data)
+    classes = reducible_characters(data, 3)
     assert len(classes) == enumerate_reducibles(data) == 1
     assert classes[0] == (0, 1, 1)
     assert index_plus_one(3, 2, 2, 1) - 1 == 1

@@ -178,7 +178,43 @@ class TestTwoBridgeCommand:
         assert [g["grading"] for g in special] == [0]
 
 
+FIBERS = "need exactly 3 exceptional fibers, got "
+# (argv, error, message) of the Seifert routes: every route checks the fiber
+# count first; the knot route then checks |H1| and flatness, the link route
+# that the cover is a homology S^1 x S^2 of a two-component link
+SEIFERT_ERRORS = [
+    (["montesinos-knot", "--signature=0", "--pairs", "2,1;3,1"],
+     "UnsupportedFiberCountError", FIBERS + "((2, 1), (3, 1))"),
+    (["montesinos-knot", "--signature=0", "--pairs", "2,1;3,1;5,1;7,1"],
+     "UnsupportedFiberCountError", FIBERS + "((2, 1), (3, 1), (5, 1), (7, 1))"),
+    (["montesinos-knot", "--signature=0", "--pairs", "1,1;1,2"],
+     "UnsupportedFiberCountError", FIBERS + "((1, 3),)"),
+    (["montesinos-knot", "--signature=0", "--pairs", "2,1;3,-1;6,-1"],
+     "InfiniteH1Error", "first homology is infinite"),
+    (["montesinos-knot", "--signature=0", "--pairs", "2,1;2,1;3,1"],
+     "EvenOrderError", "|H1| = 16 is even"),
+    (["montesinos-knot", "--signature=0", "--pairs", "3,1;3,1;3,1"],
+     "FlatCobordismError",
+     "central fiber class survives in H1; characters do not extend flatly"),
+    (["montesinos-link", "--pairs", "2,1;3,1;7,-6"],
+     "NotHomologyS1xS2Error", "|H1| = 1, expected a homology S^1 x S^2"),
+    (["montesinos-link", "--pairs", "2,1;4,-1;4,-1"],
+     "NotHomologyS1xS2Error", "H1(.; Z/2) is not Z/2; not a two-component link cover"),
+    (["montesinos-link", "--pairs", "2,1;3,1"],
+     "UnsupportedFiberCountError", FIBERS + "((2, 1), (3, 1))"),
+]
+
+
 class TestOtherCommands:
+    @pytest.mark.parametrize(
+        "argv, error, message", SEIFERT_ERRORS, ids=[" ".join(row[0]) for row in SEIFERT_ERRORS]
+    )
+    def test_seifert_error_record(self, capsys, argv, error, message):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out) == {"error": error, "message": message}
+        assert err == ""
+
     def test_brieskorn(self, capsys):
         code, out, _ = run(capsys, "brieskorn-knot", "2", "3", "7", "--json")
         record = json.loads(out)
@@ -509,10 +545,10 @@ class TestWorkPerRecord:
         assert len(calls) == 2
 
     def test_link_sets_up_once(self, capsys, monkeypatch):
-        # one |H1|, one reduction, and the mod-2 solver once for the twist on
-        # the largest fiber and once for the sign character
+        # one reduction, which gives the one |H1|, and the mod-2 solver once
+        # for the twist on the largest fiber and once for the sign character
         modules = (cli, complexes, covers, seifert)
-        names = ("seifert_h1_order", "_exceptional_triple", "_mod2_solutions")
+        names = ("_reduced_cover", "seifert_h1_order", "_mod2_solutions")
         calls = {
             name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
             for name in names
@@ -524,18 +560,19 @@ class TestWorkPerRecord:
             assert run(capsys, *argv)[0] == 0
             counts = {name: len(found) for name, found in calls.items()}
             assert counts == {
+                "_reduced_cover": 1,
                 "seifert_h1_order": 1,
-                "_exceptional_triple": 1,
                 "_mod2_solutions": 2,
             }, pairs
 
     def test_knot_sets_up_once(self, capsys, monkeypatch):
-        # one reduction to the exceptional triple, counted from the knot
-        # complex; reducible_characters folds the trivial fibers once more.
-        # |H1| once for the record's extras and once in reducible_characters,
-        # whose class list tells the knot complex whether |H1| = 1
+        # one reduction, which also gives |H1| to reducible_characters.  The
+        # record's h1_order extra computes |H1| a second time: handing it the
+        # cover's value would need montesinos_knot_complex, a public entry
+        # point, to take a reduced cover or to return |H1|, which is more API
+        # than one O(n) product is worth
         modules = (cli, complexes, covers, seifert)
-        names = ("_exceptional_triple", "absorb_trivial_fibers", "seifert_h1_order")
+        names = ("_reduced_cover", "seifert_h1_order")
         calls = {
             name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
             for name in names
@@ -543,11 +580,7 @@ class TestWorkPerRecord:
         argv = ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature", "-6", "--json"]
         assert run(capsys, *argv)[0] == 0
         counts = {name: len(found) for name, found in calls.items()}
-        assert counts == {
-            "_exceptional_triple": 1,
-            "absorb_trivial_fibers": 2,
-            "seifert_h1_order": 2,
-        }
+        assert counts == {"_reduced_cover": 1, "seifert_h1_order": 2}
 
     def test_odd_torus_signature_once(self, capsys, monkeypatch):
         bindings = [(signatures, "torus_signature"), (complexes, "torus_signature")]

@@ -4,19 +4,22 @@ Every test is derandomized, so a run checks the same examples each time.
 """
 
 import functools
+import json
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
-from floerchains.complexes import torus_even_seifert_data
+from floerchains.cli import main
+from floerchains.complexes import torus_even_seifert_data, two_bridge_generators
 from floerchains.covers import SeifertData, seifert_h1_order
-from floerchains.errors import DomainError, FlatCobordismError
+from floerchains.errors import DomainError, FlatCobordismError, UnsupportedFiberCountError
 from floerchains.lens import index_plus_one, indices_plus_one, lattice_counts
 from floerchains.seifert import (
-    _exceptional_triple,
     _irreducible_count,
+    _reduced_cover,
     _w2_shifts,
     enumerate_projective,
     reducible_characters,
@@ -28,6 +31,7 @@ from oracles import (
     fraction_reducible_characters,
     fraction_sweep,
     goeritz_signature,
+    two_bridge_rank_vector,
     walk_counts,
 )
 
@@ -82,6 +86,31 @@ def test_two_bridge_signature_matches_goeritz(pair):
 def test_two_bridge_signature_flips_under_mirror(pair):
     p, q = pair
     assert two_bridge_signature(p, p - q) == -two_bridge_signature(p, q)
+
+
+def large_lens_pairs(count=6, seed=16):
+    """Seeded pairs with odd 1001 <= p <= 5001 and q drawn coprime to p."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        p = 2 * rng.randint(500, 2500) + 1
+        pairs.append((p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+    return pairs
+
+
+@derandomized
+@given(st.one_of(lens_pairs(401), st.sampled_from(large_lens_pairs())))
+def test_two_bridge_ranks_match_closed_form(pair):
+    p, q = pair
+    assert two_bridge_generators(p, q).ranks().r == two_bridge_rank_vector(p, q)
+
+
+def test_torus_2_q_ranks_match_closed_form(capsys):
+    # the torus knot T(2, q) is routed through the two-bridge pair (q, 1)
+    for q in range(3, 121, 2):
+        assert main(["torus", "2", str(q), "--json"]) == 0
+        ranks = json.loads(capsys.readouterr().out)["ranks"]
+        assert tuple(ranks) == two_bridge_rank_vector(q, 1), q
 
 
 @derandomized
@@ -139,6 +168,11 @@ def flat_triples(product_max=6000):
     return out
 
 
+def shipping_characters(s):
+    """The shipping route from raw data: reduce and measure, then solve."""
+    return reducible_characters(*_reduced_cover(s))
+
+
 @derandomized
 @given(
     st.one_of(
@@ -155,7 +189,7 @@ def test_smith_form_flatness_matches_product_over_lcm(pairs):
     assume(order % 2)
     a = [a for a, _ in pairs]
     flat = math.prod(a) == math.lcm(*a) * order
-    for route in (reducible_characters, fraction_reducible_characters):
+    for route in (shipping_characters, fraction_reducible_characters):
         try:
             route(s)
         except FlatCobordismError:
@@ -170,6 +204,50 @@ def moved(pairs, i, j, k):
     pairs[i] = (pairs[i][0], pairs[i][1] + k * pairs[i][0])
     pairs[j] = (pairs[j][0], pairs[j][1] - k * pairs[j][0])
     return tuple(pairs)
+
+
+@derandomized
+@given(st.data())
+def test_reduced_cover_checks_the_fiber_count(data):
+    # n exceptional fibers among up to three trivial ones, n = 3 in 3 of 8
+    n = data.draw(st.sampled_from((0, 1, 2, 3, 3, 3, 4, 5)))
+    fiber = seifert_pairs(a_max=12, b_max=30, trivial=False)
+    pairs = data.draw(st.lists(fiber, min_size=n, max_size=n))
+    pairs += [(1, b) for b in data.draw(st.lists(st.integers(-5, 5), max_size=3))]
+    assume(pairs)
+    s = SeifertData(data.draw(st.permutations(pairs)))
+    exceptional = [a for a, _ in s.pairs if a > 1]
+    try:
+        reduced, order = _reduced_cover(s)
+    except UnsupportedFiberCountError:
+        assert len(exceptional) != 3
+    else:
+        assert len(exceptional) == 3
+        assert [a for a, _ in reduced.pairs] == exceptional
+        assert order == fraction_h1_order(s)
+
+
+@derandomized
+@given(st.tuples(*[seifert_pairs(a_max=20, b_max=40, trivial=False)] * 3), st.data())
+def test_reduced_cover_invariant_under_moves(pairs, data):
+    base, order = _reduced_cover(SeifertData(pairs))
+    assert order == fraction_h1_order(SeifertData(pairs))
+    i, j = data.draw(st.permutations(range(3)))[:2]
+    fibers = list(moved(pairs, i, j, data.draw(st.integers(-2, 2))))
+    trivial = []
+    for b in data.draw(st.lists(st.integers(-3, 3), max_size=3)):
+        # a (1, b) fiber, compensated on one exceptional fiber
+        k = data.draw(st.integers(0, 2))
+        fibers[k] = (fibers[k][0], fibers[k][1] - b * fibers[k][0])
+        trivial.append((1, b))
+    for fiber in trivial:
+        fibers.insert(data.draw(st.integers(0, len(fibers))), fiber)
+    reduced, moved_order = _reduced_cover(SeifertData(fibers))
+    assert moved_order == order
+    # the same triple up to moves: each b_i mod a_i and e are unchanged
+    assert [(a, b % a) for a, b in reduced.pairs] == [(a, b % a) for a, b in base.pairs]
+    reduced_e, base_e = (sum(Fraction(b, a) for a, b in t.pairs) for t in (reduced, base))
+    assert reduced_e == base_e
 
 
 def character_outcome(route, s):
@@ -202,7 +280,7 @@ def test_reducible_characters_match_fraction_oracle(data):
         pairs = torus_even_seifert_data(p, 2 * r).pairs
     s = SeifertData(pairs)
     want = character_outcome(fraction_reducible_characters, s)
-    assert character_outcome(reducible_characters, s) == want
+    assert character_outcome(shipping_characters, s) == want
 
 
 @st.composite
@@ -220,7 +298,7 @@ def projective_outcome(pairs):
     """Orbit count and twisted fiber, or the error name, for the given pairs."""
     s = SeifertData(pairs)
     try:
-        return len(enumerate_projective(s)), _w2_shifts(_exceptional_triple(s).pairs)
+        return len(enumerate_projective(s)), _w2_shifts(_reduced_cover(s)[0].pairs)
     except DomainError as err:
         return type(err).__name__
 

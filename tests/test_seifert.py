@@ -18,11 +18,10 @@ from floerchains.errors import (
     UnsupportedFiberCountError,
 )
 from floerchains.seifert import (
-    _exceptional_triple,
     _irreducible_count,
     _mod2_solutions,
+    _reduced_cover,
     _w2_shifts,
-    absorb_trivial_fibers,
     brieskorn_seifert_data,
     casson,
     enumerate_projective,
@@ -54,13 +53,13 @@ def random_triple(rng, amax=7):
 
 def irreducible_count(s):
     """The shipping count of irreducible classes for any Seifert data."""
-    return _irreducible_count(_exceptional_triple(s).pairs)
+    return _irreducible_count(_reduced_cover(s)[0].pairs)
 
 
 def twisted_classes(s, shifts=None):
     """SU(2) classes (m, ells) of the reduced triple twisted by the parity shifts,
     by default those of the canonical twist."""
-    pairs = _exceptional_triple(s).pairs
+    pairs = _reduced_cover(s)[0].pairs
     if shifts is None:
         shifts = _w2_shifts(pairs)
     return [(m, ells) for m in (0, 1) for ells in rotation_sweep(pairs, m, shifts)]
@@ -80,7 +79,7 @@ def relator_signs(shifts):
 def min_remaining_orbits(s, shifts=None):
     """Reference orbit pairing: repeatedly take the least unpaired class."""
     su2 = twisted_classes(s, shifts)
-    pairs = _exceptional_triple(s).pairs
+    pairs = _reduced_cover(s)[0].pairs
     (chi,) = [c for c in _mod2_solutions(pairs, (0, 0, 0)) if any(c)]
 
     def partner(cls):
@@ -136,14 +135,14 @@ class TestEnumerateIrreducibles:
 
     def test_fiber_count_contract(self):
         with pytest.raises(UnsupportedFiberCountError):
-            _exceptional_triple(SeifertData(((2, 1), (3, 1))))
+            _reduced_cover(SeifertData(((2, 1), (3, 1))))
         with pytest.raises(UnsupportedFiberCountError):
-            _exceptional_triple(SeifertData(((2, 1), (3, 1), (5, 1), (7, 1))))
+            _reduced_cover(SeifertData(((2, 1), (3, 1), (5, 1), (7, 1))))
 
     def test_absorbs_trivial_fibers(self):
         with_trivial = SeifertData(((1, -1), (2, 1), (3, 1), (3, 1)))
         plain = SeifertData(((2, -1), (3, 1), (3, 1)))
-        assert absorb_trivial_fibers(with_trivial) == plain
+        assert _reduced_cover(with_trivial) == (plain, 3)
         assert irreducible_count(with_trivial) == irreducible_count(plain)
 
 
@@ -207,7 +206,8 @@ class TestEnumerateReducibles:
 
 class TestReducibleCharacters:
     def test_example_class(self):
-        classes = reducible_characters(SeifertData(((2, -1), (3, 1), (3, 1))))
+        data = SeifertData(((2, -1), (3, 1), (3, 1)))
+        classes = reducible_characters(*_reduced_cover(data))
         assert len(classes) == 1
         assert classes[0] == (0, 1, 1)
 
@@ -222,7 +222,7 @@ class TestReducibleCharacters:
             if order == 0 or order % 2 == 0 or prod != lcm * order:
                 continue
             found += 1
-            classes = reducible_characters(data)
+            classes = reducible_characters(data, order)
             assert len(classes) == enumerate_reducibles(data)
             oracle = fraction_reducible_characters(data)
             assert classes == oracle, data
@@ -253,14 +253,14 @@ class TestReducibleCharacters:
         data = SeifertData(pairs)
         assert seifert_h1_order(data) == 9
         start = time.perf_counter()
-        classes = reducible_characters(data)
+        classes = reducible_characters(*_reduced_cover(data))
         assert time.perf_counter() - start < 1.0
         assert classes == want
 
     def test_non_flat_rejected(self):
         # (3,1),(3,1),(3,1): |H1| = 27 but lcm * |H1| = 81 != 27
         with pytest.raises(FlatCobordismError):
-            reducible_characters(SeifertData(((3, 1), (3, 1), (3, 1))))
+            reducible_characters(*_reduced_cover(SeifertData(((3, 1),) * 3)))
 
 
 class TestProjective:
@@ -342,7 +342,7 @@ class TestProjective:
     def test_oracle_agreement_on_twisted_relations(self):
         for pairs in [((2, 1), (3, -1), (6, -1)), ((2, 1), (5, -2), (10, -1))]:
             data = SeifertData(pairs)
-            reduced = absorb_trivial_fibers(data).pairs
+            reduced = _reduced_cover(data)[0].pairs
             mine = len(twisted_classes(data))
             assert mine == seifert_su2_count(reduced, relator_signs(_w2_shifts(reduced)))
 

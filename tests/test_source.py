@@ -36,6 +36,26 @@ def test_no_fractions_import():
     assert found == []
 
 
+def test_every_domain_error_is_raised():
+    # the CLI prints these names verbatim, so a refactor that moves raise
+    # sites must not leave one behind with no way to reach it
+    tree = ast.parse(SOURCES[0].with_name("errors.py").read_text(encoding="utf-8"))
+    errors = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "DomainError" for base in node.bases)
+    }
+    assert "UnsupportedFiberCountError" in errors
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(errors - raised) == []
+
+
 def _module_aliases(tree):
     """Names a module binds to sibling modules (``from . import covers``)."""
     return {
