@@ -33,10 +33,6 @@ class NotHomologyS1xS2Error(DomainError):
     """Seifert data does not describe a homology S^1 x S^2."""
 
 
-class BadTwistMaskError(DomainError):
-    """No single-fiber relator twist carries the nontrivial w2 class."""
-
-
 class FlatCobordismError(DomainError):
     """The product-equals-lcm-times-order divisibility condition fails."""
 

@@ -11,7 +11,11 @@ constraint ell_i = m * b_i (mod 2) forced by the torsion relation, and to
 the strict spherical triangle condition on the three angles, which is
 exactly the existence-and-rigidity criterion for an irreducible triple
 with prescribed conjugacy classes.  Twisting a relator by a sign flips the
-corresponding parity and enumerates projective classes instead.
+corresponding parity and enumerates projective classes instead.  On a
+homology S^1 x S^2 (e = 0) the parities of the multiplicities fix both the
+twist that carries w2 and the sign character that pairs projective classes
+into orbits: two even fibers, twisted on the larger, or none, twisted on the
+largest (``_link_twist``).
 
 All angle comparisons are exact integer comparisons: the angles
 ell_i / a_i are scaled by a_1 * a_2 before they are compared.  For each
@@ -31,7 +35,6 @@ from typing import Iterator, List, Sequence, Tuple
 from .arith import mod_inverse
 from .covers import SeifertData, seifert_h1_order
 from .errors import (
-    BadTwistMaskError,
     EvenOrderError,
     FlatCobordismError,
     InfiniteH1Error,
@@ -196,37 +199,30 @@ def reducible_characters(s: SeifertData, order: int) -> List[Tuple[int, ...]]:
     return classes
 
 
-def _mod2_solutions(pairs, target: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Sign characters chi on (x_1, .., x_n, h) with a_i*chi_i + b_i*chi_h = t_i
-    and sum chi_i = 0, all mod 2."""
-    n = len(pairs)
-    sols = []
-    for bits in itertools.product((0, 1), repeat=n + 1):
-        chi_h = bits[n]
-        if any(
-            (a * bits[i] + b * chi_h - t) % 2
-            for i, ((a, b), t) in enumerate(zip(pairs, target))
-        ):
-            continue
-        if sum(bits[:n]) % 2:
-            continue
-        sols.append(bits)
-    return sols
+def _link_twist(pairs) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Relator parity shifts of the w2 twist, and the nontrivial sign character.
 
-
-def _w2_shifts(pairs) -> Tuple[int, ...]:
-    """Relator parity shifts of the twist on the largest fiber that carries w2.
-
-    Fibers are tried in decreasing order of multiplicity, ties by position;
-    the first single twist x_i^(a_i) = -h^(-b_i) that is not the coboundary
-    of a sign character wins.
+    Takes three exceptional fibers with e = 0, where the parities of the
+    multiplicities decide both.  Exactly one even fiber cannot occur: its
+    b_i / a_i would be the only term of e with negative 2-adic valuation.
+    With two even fibers the twist goes on the larger of them and chi is 1
+    on both and 0 on the odd fiber and on h; with none, the twist goes on
+    the largest fiber and chi is b_i mod 2 on x_i and 1 on h.  Ties go to
+    the earlier fiber.  Three even fibers make H1(.; Z/2) = (Z/2)^2 and
+    raise NotHomologyS1xS2Error.  chi is returned as (chi_1, .., chi_n, chi_h).
     """
     n = len(pairs)
-    for i in sorted(range(n), key=lambda i: (-pairs[i][0], i)):
-        shifts = tuple(int(j == i) for j in range(n))
-        if not _mod2_solutions(pairs, shifts):
-            return shifts
-    raise BadTwistMaskError("no single-fiber twist represents the nontrivial w2")
+    even = [i for i, (a, _) in enumerate(pairs) if a % 2 == 0]
+    if len(even) not in (0, 2):
+        raise NotHomologyS1xS2Error(
+            "H1(.; Z/2) is not Z/2; not a two-component link cover"
+        )
+    # max keeps the first of equal multiplicities
+    twisted = max(even or range(n), key=lambda i: pairs[i][0])
+    shifts = tuple(int(i == twisted) for i in range(n))
+    if even:
+        return shifts, tuple(int(i in even) for i in range(n)) + (0,)
+    return shifts, tuple(b % 2 for _, b in pairs) + (1,)
 
 
 def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -234,7 +230,7 @@ def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
 
     The data must reduce to three exceptional fibers (``_reduced_cover``,
     checked first) whose cover is a homology S^1 x S^2.  SU(2) classes of
-    the relations twisted by _w2_shifts come from the rotation sweep; the
+    the relations twisted by _link_twist come from the rotation sweep; the
     nontrivial character of H1(.; Z/2) acts on them by ell_i -> a_i - ell_i
     on the fibers it hits (and flips the central sign when it is nonzero
     on h), and orbits have size two.  Each orbit is returned as the
@@ -244,13 +240,7 @@ def enumerate_projective(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     if order != 0:
         raise NotHomologyS1xS2Error(f"|H1| = {order}, expected a homology S^1 x S^2")
     pairs = s.pairs
-    shifts = _w2_shifts(pairs)
-    characters = [chi for chi in _mod2_solutions(pairs, (0, 0, 0)) if any(chi)]
-    if len(characters) != 1:
-        raise NotHomologyS1xS2Error(
-            "H1(.; Z/2) is not Z/2; not a two-component link cover"
-        )
-    chi = characters[0]
+    shifts, chi = _link_twist(pairs)
     n = len(pairs)
 
     def partner(cls):

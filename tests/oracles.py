@@ -17,6 +17,9 @@
 - The rotation sweep over the whole parity grid with ``Fraction`` angles;
   the shipping sweep's tuples, its ell_3 intervals expanded, and the list of
   irreducible classes they make (the shipping code only counts them).
+- The sign characters of a Seifert triple by brute force over sign vectors,
+  and from them the w2 twist of a link cover: the largest fiber whose twist
+  is not a coboundary.  The shipping code reads both off a parity rule.
 - The Casson invariant of a Brieskorn sphere from Dedekind sums.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from floerchains.arith import mod_inverse
 from floerchains.complexes import ChainRanks, two_bridge_generators
@@ -509,6 +512,39 @@ def enumerate_irreducibles(s: SeifertData) -> List[Tuple[int, Tuple[int, ...]]]:
     """
     pairs = _reduced_cover(s)[0].pairs
     return [(m, ells) for m in (0, 1) for ells in rotation_sweep(pairs, m, (0, 0, 0))]
+
+
+def _mod2_solutions(pairs, target: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Sign characters chi on (x_1, .., x_n, h) with a_i*chi_i + b_i*chi_h = t_i
+    and sum chi_i = 0, all mod 2, by a search over all 2^(n+1) sign vectors."""
+    n = len(pairs)
+    sols = []
+    for bits in itertools.product((0, 1), repeat=n + 1):
+        chi_h = bits[n]
+        if any(
+            (a * bits[i] + b * chi_h - t) % 2
+            for i, ((a, b), t) in enumerate(zip(pairs, target))
+        ):
+            continue
+        if sum(bits[:n]) % 2:
+            continue
+        sols.append(bits)
+    return sols
+
+
+def _w2_shifts(pairs) -> Optional[Tuple[int, ...]]:
+    """Relator parity shifts of the twist on the largest fiber that carries w2.
+
+    Fibers are tried in decreasing order of multiplicity, ties by position;
+    the first single twist x_i^(a_i) = -h^(-b_i) that is not the coboundary
+    of a sign character wins.  None when every single twist is a coboundary.
+    """
+    n = len(pairs)
+    for i in sorted(range(n), key=lambda i: (-pairs[i][0], i)):
+        shifts = tuple(int(j == i) for j in range(n))
+        if not _mod2_solutions(pairs, shifts):
+            return shifts
+    return None
 
 
 def _sawtooth(x: Fraction) -> Fraction:

@@ -23,7 +23,6 @@ from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import EvenOrderError, InfiniteH1Error, NotHomologyS1xS2Error
 from floerchains.lens import index_plus_one
 from floerchains.seifert import (
-    _w2_shifts,
     casson,
     enumerate_projective,
     reducible_characters,
@@ -31,6 +30,7 @@ from floerchains.seifert import (
 from floerchains.signatures import torus_signature, two_bridge_signature
 
 from oracles import (
+    _w2_shifts,
     enumerate_irreducibles,
     enumerate_reducibles,
     rotation_sweep,

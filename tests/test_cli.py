@@ -545,10 +545,10 @@ class TestWorkPerRecord:
         assert len(calls) == 2
 
     def test_link_sets_up_once(self, capsys, monkeypatch):
-        # one reduction, which gives the one |H1|, and the mod-2 solver once
-        # for the twist on the largest fiber and once for the sign character
+        # one reduction, which gives the one |H1|, and one parity rule, which
+        # gives both the w2 twist and the sign character
         modules = (cli, complexes, covers, seifert)
-        names = ("_reduced_cover", "seifert_h1_order", "_mod2_solutions")
+        names = ("_reduced_cover", "seifert_h1_order", "_link_twist")
         calls = {
             name: count_calls(monkeypatch, [(m, name) for m in modules if hasattr(m, name)])
             for name in names
@@ -562,7 +562,7 @@ class TestWorkPerRecord:
             assert counts == {
                 "_reduced_cover": 1,
                 "seifert_h1_order": 1,
-                "_mod2_solutions": 2,
+                "_link_twist": 1,
             }, pairs
 
     def test_knot_sets_up_once(self, capsys, monkeypatch):

@@ -3,7 +3,9 @@
 Every test is derandomized, so a run checks the same examples each time.
 """
 
+import collections
 import functools
+import itertools
 import json
 import math
 import random
@@ -15,18 +17,25 @@ from floerchains.arith import floor_sum, mod_inverse
 from floerchains.cli import main
 from floerchains.complexes import torus_even_seifert_data, two_bridge_generators
 from floerchains.covers import SeifertData, seifert_h1_order
-from floerchains.errors import DomainError, FlatCobordismError, UnsupportedFiberCountError
+from floerchains.errors import (
+    DomainError,
+    FlatCobordismError,
+    NotHomologyS1xS2Error,
+    UnsupportedFiberCountError,
+)
 from floerchains.lens import index_plus_one, indices_plus_one, lattice_counts
 from floerchains.seifert import (
     _irreducible_count,
+    _link_twist,
     _reduced_cover,
-    _w2_shifts,
     enumerate_projective,
     reducible_characters,
 )
 from floerchains.signatures import two_bridge_signature
 
 from oracles import (
+    _mod2_solutions,
+    _w2_shifts,
     fraction_h1_order,
     fraction_reducible_characters,
     fraction_sweep,
@@ -315,6 +324,64 @@ def test_projective_count_invariant_under_moves(pairs, data):
     shifted[i] = (shifted[i][0], shifted[i][1] - b * shifted[i][0])
     shifted.insert(data.draw(st.integers(0, 3)), (1, b))
     assert projective_outcome(tuple(shifted)) == base
+
+
+def e0_triples(a_max=20):
+    """Every three exceptional fibers with e = 0, 2 <= a_i <= a_max, 0 < b_1 < a_1
+    and 0 < |b_2| < a_2, in every order of the fibers."""
+    out = set()
+    for a1, a2 in itertools.product(range(2, a_max + 1), repeat=2):
+        for b1, b2 in itertools.product(range(1, a1), range(1 - a2, a2)):
+            if math.gcd(a1, b1) != 1 or math.gcd(a2, b2) != 1:
+                continue
+            third = -(Fraction(b1, a1) + Fraction(b2, a2))
+            if 2 <= third.denominator <= a_max:
+                triple = ((a1, b1), (a2, b2), (third.denominator, third.numerator))
+                out.update(itertools.permutations(triple))
+    return sorted(out)
+
+
+def large_e0_triples(count=300, a_max=10**6, seed=5):
+    """Seeded e = 0 triples with multiplicities up to a_max, fibers shuffled."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, a_max // 10)
+        a1, a2 = d * rng.randint(1, 10), d * rng.randint(1, 10)
+        if min(a1, a2) < 2:
+            continue
+        b1, b2 = (rng.choice([b for b in range(1, min(a, 50)) if math.gcd(a, b) == 1])
+                  for a in (a1, a2))
+        third = -(Fraction(b1, a1) + Fraction(b2, a2))
+        if 2 <= third.denominator <= a_max:
+            triple = [(a1, b1), (a2, b2), (third.denominator, third.numerator)]
+            rng.shuffle(triple)
+            out.append(tuple(triple))
+    return out
+
+
+NOT_Z2 = "H1(.; Z/2) is not Z/2; not a two-component link cover"
+
+
+def test_link_twist_matches_sign_vector_search():
+    # the parity rule against the search over all sign vectors, error included
+    even_counts = collections.Counter()
+    for pairs in e0_triples() + large_e0_triples():
+        assert seifert_h1_order(SeifertData(pairs)) == 0, pairs
+        shifts = _w2_shifts(pairs)
+        # some single twist always carries w2 at e = 0, so no twist search
+        # can come up empty there
+        assert shifts is not None, pairs
+        characters = [chi for chi in _mod2_solutions(pairs, (0, 0, 0)) if any(chi)]
+        want = (shifts, characters[0]) if len(characters) == 1 else NOT_Z2
+        try:
+            got = _link_twist(pairs)
+        except NotHomologyS1xS2Error as err:
+            got = str(err)
+        assert got == want, pairs
+        even_counts[sum(a % 2 == 0 for a, _ in pairs)] += 1
+    # exactly one even fiber cannot sum to e = 0; three is the error
+    assert sorted(even_counts) == [0, 2, 3]
 
 
 @derandomized

@@ -9,7 +9,6 @@ import pytest
 from floerchains import seifert
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
-    BadTwistMaskError,
     EvenOrderError,
     FlatCobordismError,
     InfiniteH1Error,
@@ -19,9 +18,8 @@ from floerchains.errors import (
 )
 from floerchains.seifert import (
     _irreducible_count,
-    _mod2_solutions,
+    _link_twist,
     _reduced_cover,
-    _w2_shifts,
     brieskorn_seifert_data,
     casson,
     enumerate_projective,
@@ -29,6 +27,8 @@ from floerchains.seifert import (
 )
 
 from oracles import (
+    _mod2_solutions,
+    _w2_shifts,
     brieskorn_casson,
     enumerate_irreducibles,
     enumerate_reducibles,
@@ -58,7 +58,7 @@ def irreducible_count(s):
 
 def twisted_classes(s, shifts=None):
     """SU(2) classes (m, ells) of the reduced triple twisted by the parity shifts,
-    by default those of the canonical twist."""
+    by default those of the oracle's canonical twist."""
     pairs = _reduced_cover(s)[0].pairs
     if shifts is None:
         shifts = _w2_shifts(pairs)
@@ -111,10 +111,6 @@ def random_link_triple(rng, amax=24, product_max=6000):
             continue
         data = SeifertData(((a1, b1), (a2, b2), (third.denominator, third.numerator)))
         if len([c for c in _mod2_solutions(data.pairs, (0, 0, 0)) if any(c)]) != 1:
-            continue
-        try:
-            _w2_shifts(data.pairs)
-        except BadTwistMaskError:
             continue
         return data
 
@@ -326,8 +322,14 @@ class TestProjective:
             enumerate_projective(data)
 
     def test_canonical_twist_hits_largest_fiber(self):
-        assert _w2_shifts(SeifertData(((2, 1), (3, -1), (6, -1))).pairs) == (0, 0, 1)
-        assert _w2_shifts(SeifertData(((10, -1), (2, 1), (5, -2))).pairs) == (1, 0, 0)
+        for pairs, want in [
+            (((2, 1), (3, -1), (6, -1)), (0, 0, 1)),
+            (((10, -1), (2, 1), (5, -2)), (1, 0, 0)),
+            # all odd: the largest fiber, the earlier of two equal ones
+            (((3, 2), (5, -1), (15, -7)), (0, 0, 1)),
+            (((3, 2), (3, -1), (3, -1)), (1, 0, 0)),
+        ]:
+            assert _link_twist(pairs)[0] == _w2_shifts(pairs) == want, pairs
 
     def test_all_odd_fibers_pair_across_central_signs(self):
         # here the sign character is nonzero on the central fiber class, so
@@ -336,15 +338,17 @@ class TestProjective:
         su2 = twisted_classes(data)
         assert sorted(su2) == [(0, (1, 2, 2)), (1, (1, 1, 1))]
         assert len(enumerate_projective(data)) == 1
-        signs = relator_signs(_w2_shifts(data.pairs))
-        assert seifert_su2_count(data.pairs, signs) == 2
+        shifts, chi = _link_twist(data.pairs)
+        assert chi == (0, 1, 1, 1)
+        assert seifert_su2_count(data.pairs, relator_signs(shifts)) == 2
 
     def test_oracle_agreement_on_twisted_relations(self):
         for pairs in [((2, 1), (3, -1), (6, -1)), ((2, 1), (5, -2), (10, -1))]:
             data = SeifertData(pairs)
             reduced = _reduced_cover(data)[0].pairs
             mine = len(twisted_classes(data))
-            assert mine == seifert_su2_count(reduced, relator_signs(_w2_shifts(reduced)))
+            shifts = _link_twist(reduced)[0]
+            assert mine == seifert_su2_count(reduced, relator_signs(shifts))
 
 
 class TestNormalizationInvariance:

@@ -1,6 +1,8 @@
 """Checks on the shipped source itself."""
 
 import ast
+import builtins
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import floerchains
 
 SOURCES = sorted(Path(floerchains.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -36,16 +39,21 @@ def test_no_fractions_import():
     assert found == []
 
 
-def test_every_domain_error_is_raised():
-    # the CLI prints these names verbatim, so a refactor that moves raise
-    # sites must not leave one behind with no way to reach it
+def _domain_errors():
+    """Names of the DomainError subclasses in errors.py."""
     tree = ast.parse(SOURCES[0].with_name("errors.py").read_text(encoding="utf-8"))
-    errors = {
+    return {
         node.name
         for node in tree.body
         if isinstance(node, ast.ClassDef)
         and any(getattr(base, "id", None) == "DomainError" for base in node.bases)
     }
+
+
+def test_every_domain_error_is_raised():
+    # the CLI prints these names verbatim, so a refactor that moves raise
+    # sites must not leave one behind with no way to reach it
+    errors = _domain_errors()
     assert "UnsupportedFiberCountError" in errors
     raised = set()
     for path in SOURCES:
@@ -54,6 +62,21 @@ def test_every_domain_error_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert sorted(errors - raised) == []
+
+
+def test_readme_names_the_error_classes():
+    # the CLI prints error class names, and README documents them: a name
+    # README gives must exist, and every DomainError subclass must be named
+    named = set(re.findall(r"\b\w+Error\b", README.read_text(encoding="utf-8")))
+    errors = _domain_errors()
+    assert "UnsupportedFiberCountError" in named & errors
+    unknown = {
+        name
+        for name in named - errors - {"DomainError"}
+        if not isinstance(getattr(builtins, name, None), type)
+    }
+    assert sorted(unknown) == []
+    assert sorted(errors - named) == []
 
 
 def _module_aliases(tree):
