@@ -4,7 +4,12 @@ Subcommands mirror the supported families.  Every input takes one path:
 parse (a ``config`` file is rebuilt into argv and parsed again), then the
 family's handler, which builds the record with ``_record``.  Parsing uses
 the process's one parser, built by the first ``build_parser`` call and
-shared by every later one; callers must not mutate it.  A run prints a
+shared by every later one; callers must not mutate it.  A parse hands argv
+straight to the parser of its subcommand ``argv[0]``, which ``build_parser``
+records as it adds it, instead of letting the top-level parser pick it; the
+full parser parses argv again only when an argument is left over or
+``argv[0]`` names no subcommand, so every usage error keeps argparse's own
+text and exit code 2.  A run prints a
 human-readable table or one JSON object with the stable fields input,
 generators, ranks, anchoring, conjectural, warnings (plus notes and
 extras), laid out as ``json.dumps(indent=2, sort_keys=True)`` would.
@@ -43,7 +48,7 @@ from .complexes import (
     two_bridge_generators,
 )
 from .covers import SeifertData, branched_cover_h1, cup_form, grading_shift_delta
-from .errors import DomainError
+from .errors import DomainError, NotCoprimeError
 
 
 def parse_pairs(text: str) -> SeifertData:
@@ -300,8 +305,11 @@ def _cmd_montesinos_knot(args) -> Dict:
 
 def _cmd_torus(args) -> Dict:
     p, q = sorted((args.p, args.q))
-    if math.gcd(p, q) != 1 or p < 2:
-        raise ValueError(f"torus parameters must be coprime and >= 2, got ({p}, {q})")
+    message = f"torus parameters must be coprime and >= 2, got ({p}, {q})"
+    if p < 2:
+        raise ValueError(message)
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(message)
     block = None if args.irreducible_block is None else parse_block(args.irreducible_block)
     if block is not None and (p == 2 or p * q % 2):
         # only the even-strand Seifert route has irreducible generators to pin
@@ -498,6 +506,10 @@ def _read_config(path: str) -> Dict[str, str]:
     return options
 
 
+# each subcommand's parser by name, recorded by `build_parser` as it adds them
+_SUBPARSERS: Dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call and shared after it.
@@ -514,16 +526,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("two-bridge", help="two-bridge knot of type -p/q")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        _SUBPARSERS[name] = subparser = sub.add_parser(name, **kwargs)
+        return subparser
+
+    p = add("two-bridge", help="two-bridge knot of type -p/q")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
 
-    p = sub.add_parser("brieskorn-knot", help="Montesinos knot over a Brieskorn sphere")
+    p = add("brieskorn-knot", help="Montesinos knot over a Brieskorn sphere")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
 
-    p = sub.add_parser("montesinos-knot", help="general three-fiber Montesinos knot")
+    p = add("montesinos-knot", help="general three-fiber Montesinos knot")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
     p.add_argument("--signature", type=int, required=True, help="even knot signature")
     p.add_argument(
@@ -531,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
         help='external grading pin "g0,g1,g2,g3" for the irreducible generators',
     )
 
-    p = sub.add_parser("torus", help="torus knot")
+    p = add("torus", help="torus knot")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--irreducible-block", help="grading pin for the even-q route")
 
-    p = sub.add_parser("montesinos-link", help="two-component Montesinos link")
+    p = add("montesinos-link", help="two-component Montesinos link")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
     p.add_argument("--lk", type=int, help="linking number of the two components")
     p.add_argument(
@@ -544,20 +560,20 @@ def build_parser() -> argparse.ArgumentParser:
         help='surgery-knot Alexander polynomial "exp:coeff,..." for cross-validation',
     )
 
-    p = sub.add_parser("homology", help="double-branched-cover homology data")
+    p = add("homology", help="double-branched-cover homology data")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--alexander", help='branch-set Alexander polynomial "exp:coeff,..."')
     source.add_argument("--pairs", help="Seifert pairs of the cover")
     p.add_argument("--lk", type=int, help="linking number for the cup form")
 
-    p = sub.add_parser("regress", help="run the built-in regression corpus")
+    p = add("regress", help="run the built-in regression corpus")
     p.add_argument("--filter", help="only run cases whose name contains this string")
     p.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("config", help="run a command described by a key=value file")
+    p = add("config", help="run a command described by a key=value file")
     p.add_argument("path")
 
-    for name, p in sub.choices.items():
+    for name, p in _SUBPARSERS.items():
         if name != "regress":
             p.add_argument("--json", action="store_true", help="emit a JSON record")
     return parser
@@ -573,12 +589,29 @@ _HANDLERS = {
 }
 
 
+def _dispatch(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse argv with the parser of its subcommand `argv[0]`.
+
+    The top-level parser would only pick that subparser and hand it the rest
+    of argv.  Where anything is left over, or `argv[0]` names no subcommand,
+    the full parser parses argv again, so every usage error keeps its text.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = _SUBPARSERS.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, rest = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def _parse(argv: Optional[Sequence[str]]):
     """Parse argv; a config file is rebuilt into argv and parsed again."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _dispatch(argv)
     if args.command != "config":
         return args
+    parser = build_parser()
     try:
         options = _read_config(args.path)
     except (OSError, UnicodeDecodeError) as err:
@@ -599,7 +632,7 @@ def _parse(argv: Optional[Sequence[str]]):
             rebuilt.append("--" + key.replace("_", "-") + "=" + value)
     if args.json:
         rebuilt.append("--json")
-    return parser.parse_args(rebuilt)
+    return _dispatch(rebuilt)
 
 
 def _evaluate(args) -> Tuple[int, Dict]:

@@ -319,6 +319,27 @@ class TestOtherCommands:
         special = [g for g in first["generators"] if g["origin"] == "special"]
         assert [g["grading"] for g in special] == [torus_signature(p, q) % 4]
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["torus", "3", "9"], "NotCoprimeError"),
+            (["torus", "9", "6"], "NotCoprimeError"),
+            # the strand-count check comes first, also where gcd(p, q) > 1
+            (["torus", "0", "5"], "ValueError"),
+            (["torus", "1", "5"], "ValueError"),
+            (["torus", "-3", "9"], "ValueError"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_torus_parameter_errors(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and err == ""
+        p, q = sorted(map(int, argv[1:]))
+        assert json.loads(out) == {
+            "error": error,
+            "message": f"torus parameters must be coprime and >= 2, got ({p}, {q})",
+        }
+
     def test_homology_alexander(self, capsys):
         code, out, _ = run(
             capsys, "homology", "--alexander=-1:1,0:-1,1:1", "--json"
@@ -454,6 +475,99 @@ class TestParserReuse:
             code, out, _ = run(capsys, *case["argv"], "--json")
             assert code == 0
             assert out == json.dumps(case["record"], indent=2, sort_keys=True) + "\n"
+
+
+# argv that argparse rejects or answers with help, each with its own exit code and text
+USAGE_PROBES = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["two-bri"],
+    ["--json", "two-bridge", "-p", "5", "-q", "3"],
+    ["--", "two-bridge", "-p", "5", "-q", "3"],
+    ["two-bridge", "-p", "5"],
+    ["two-bridge", "-p", "5", "-q", "3", "extra"],
+    ["two-bridge", "-p", "x", "-q", "3"],
+    ["two-bridge", "-h"],
+    ["two-bridge", "-p", "5", "-q", "3", "--bogus"],
+    ["two-bridge", "--", "-p", "5", "-q", "3"],
+    ["two-bridge", "-p", "5", "-q", "3", "--", "x"],
+    ["two-bridge", "-p", "5", "-q", "3", "--json=1"],
+    ["two-bridge", "-p", "5", "-q", "3", "--he"],
+    ["brieskorn-knot", "2", "3"],
+    ["brieskorn-knot", "2", "3", "5", "7"],
+    ["brieskorn-knot", "2", "3", "x"],
+    ["montesinos-knot", "--pairs", "2,1;3,1;5,1"],
+    ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature", "x"],
+    ["torus", "3"],
+    ["torus", "3", "5", "7", "--json"],
+    ["montesinos-link"],
+    ["montesinos-link", "--pairs", "2,1;3,-1;6,-1", "--lk", "x"],
+    ["homology"],
+    ["homology", "--alexander=1:1", "--pairs=2,1;3,1;5,1"],
+    ["regress", "--json"],
+    ["regress", "--filter"],
+    ["config"],
+    ["config", "job.cfg", "extra"],
+]
+# argv that parse, abbreviated and repeated flags and joined values included
+VALID_ARGV = [
+    *SAMPLE_COMMANDS,
+    *(case["argv"] + ["--json"] for case in GOLDEN),
+    ["two-bridge", "-p", "5", "-q", "3", "--js"],
+    ["two-bridge", "-p5", "-q3", "--json"],
+    ["two-bridge", "-p=5", "-q=3", "--json", "--json"],
+    ["two-bridge", "-q", "-3", "-p", "5"],
+    ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--sig=-6", "--irr", "2,0,0,2"],
+    ["torus", "-3", "5"],
+    ["regress", "--filter", "torus", "--verbose"],
+]
+
+
+def usage_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of `parse(argv)`, which must exit."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    return (err.value.code, *capsys.readouterr())
+
+
+class TestDispatch:
+    """A subcommand's argv goes straight to its subparser; the full parser,
+    the oracle of that route, still parses every argv the route declines."""
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_same_namespace_as_full_parser(self, argv):
+        expected = vars(cli.build_parser().parse_args(argv))
+        assert vars(cli._parse(argv)) == expected
+
+    @pytest.mark.parametrize("argv", USAGE_PROBES, ids=" ".join)
+    def test_same_usage_outcome_as_full_parser(self, capsys, argv):
+        expected = usage_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert expected[0] in (0, 2)
+        assert usage_outcome(capsys, cli._parse, argv) == expected
+
+    def test_family_argv_skips_full_parser(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "parse_args")])
+        for argv in SAMPLE_COMMANDS:
+            assert run(capsys, *argv, "--json")[0] == 0
+        assert calls == []
+
+    def test_config_argv_skips_full_parser(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("command = torus\nq = 4\np = 3\nirreducible-block = 2,0,0,2\n")
+        calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "parse_args")])
+        code, out, _ = run(capsys, "config", str(cfg), "--json")
+        assert code == 0 and calls == []
+        assert json.loads(out)["input"] == {"command": "torus", "p": 3, "q": 4}
+
+    def test_leftover_argument_falls_back(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "parse_args")])
+        with pytest.raises(SystemExit) as err:
+            main(["two-bridge", "-p", "5", "-q", "3", "extra", "--json"])
+        assert err.value.code == 2 and len(calls) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("\nfloerchains: error: unrecognized arguments: extra\n")
 
 
 class TestRegress:

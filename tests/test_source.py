@@ -39,6 +39,20 @@ def test_no_fractions_import():
     assert found == []
 
 
+def test_cli_reads_no_private_attributes():
+    # the CLI finds its subparsers in the map build_parser records, not in
+    # argparse internals such as ``_actions`` or ``_name_parser_map``
+    path = SOURCES[0].with_name("cli.py")
+    found = [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert found == []
+
+
 def _domain_errors():
     """Names of the DomainError subclasses in errors.py."""
     tree = ast.parse(SOURCES[0].with_name("errors.py").read_text(encoding="utf-8"))
