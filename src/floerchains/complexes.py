@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
@@ -77,7 +78,7 @@ class GradedGenerators(NamedTuple):
 
     @property
     def total(self) -> int:
-        return sum(e["multiplicity"] for e in self.entries)
+        return sum(map(itemgetter("multiplicity"), self.entries))
 
     @property
     def unknown(self) -> int:
@@ -116,11 +117,13 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """
     sign = two_bridge_signature(p, q)
     entries = [_row(sign % 4, 1, SPECIAL)]
-    # the indices of L(p, q') read only the inverse of q', which is q itself
+    append = entries.append
+    # the indices of L(p, q') read only the inverse of q', which is q itself;
+    # each circle's two rows are `_row` dicts, written out for speed
     for ell, index in enumerate(indices_plus_one(p, q), 1):
         mu = (index // 2 + sign) % 4
-        entries.append(_row(mu, 1, REDUCIBLE, ell))
-        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
+        append({"grading": mu, "id": ell, "multiplicity": 1, "origin": REDUCIBLE})
+        append({"grading": (mu + 1) % 4, "id": ell, "multiplicity": 1, "origin": REDUCIBLE})
     return GradedGenerators(tuple(entries))
 
 

@@ -16,16 +16,17 @@ so a lens space is validated and inverted once, not once per class.  Two
 routes give the index:
 
 - ``indices_plus_one`` lists the index of every class of one lens space in
-  a single pass over ell with a Fenwick tree, O(p log p) in all; the
-  two-bridge record, which grades all (p-1)/2 classes, takes this route.
+  a single pass over ell with a word-blocked Fenwick tree, O(p log p) in
+  all; the two-bridge record, which grades all (p-1)/2 classes, takes this
+  route.
 - ``index_plus_one`` gives one class in O(log p): N1 is a difference of two
   floor sums (``arith.floor_sum``) and N2 is 0 or 2 (see
   ``lattice_counts``).  The Montesinos-knot route, which needs at most
   three indices per class, takes this one.
 
-The tests pin the batch to the per-class route, and that route to a walk
-over the j-range and a double loop over the whole rectangle
-(``tests/oracles.py``).
+The tests pin the batch to the per-class route and to the bit-per-value
+Fenwick tree it replaced, and the per-class route to a walk over the
+j-range and a double loop over the whole rectangle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from .arith import floor_sum
+
+# word width of the batch index, in bits, as a shift: wider words make each
+# popcount and word copy dearer (2**16-bit words made p = 200001 about three
+# times slower)
+_WORD_SHIFT = 8
+_WORD_MASK = (1 << _WORD_SHIFT) - 1
 
 
 class LatticeCounts(NamedTuple):
@@ -93,12 +100,19 @@ def indices_plus_one(p: int, r: int) -> List[int]:
     m = min(k2, p - k2) in 1 .. (p-1)/2 (classes c != ell fold to distinct
     values) turns that count into #{c < ell : m(c) < m(ell)} when
     2*k2(ell) < p, and into 2*(ell - 1) less it otherwise: same parity.
-    So N1 = 1 + 2*#{c < ell : m(c) < m(ell)} (mod 4), one prefix parity
-    and one update per ell on a Fenwick tree of bits over 1 .. (p-1)/2,
-    while N2 = 2 exactly when 2*k2(ell) > p.
+    So N1 = 1 + 2*#{c < ell : m(c) < m(ell)} (mod 4), while N2 = 2 exactly
+    when 2*k2(ell) > p.
+
+    The values m seen so far are bits of words of 2**_WORD_SHIFT bits.  The
+    parity of those below m is the popcount of m's word under m's bit, plus
+    the parity of every earlier word, a prefix on a Fenwick tree of word
+    parities (Fenwick, Software Pract. Exper. 1994): one popcount and
+    O(log p) steps per ell.
     """
     half, r = p // 2, r % p
-    tree = [0] * (half + 1)
+    words = [0] * ((half >> _WORD_SHIFT) + 1)
+    size = len(words)
+    tree = [0] * (size + 1)  # tree[i]: parity of a run of words ending at word i - 1
     out = []
     k2 = 0
     for _ in range(half):
@@ -109,13 +123,17 @@ def indices_plus_one(p: int, r: int) -> List[int]:
             m, base = p - k2, 4  # 2*1 + N2
         else:
             m, base = k2, 2
-        odd = 0
-        i = m - 1
+        w = m >> _WORD_SHIFT
+        bit = 1 << (m & _WORD_MASK)
+        word = words[w]
+        odd = (word & (bit - 1)).bit_count()  # only its parity is read
+        words[w] = word | bit
+        i = w
         while i:
             odd ^= tree[i]
             i &= i - 1
-        i = m
-        while i <= half:
+        i = w + 1
+        while i <= size:
             tree[i] ^= 1
             i += i & -i
         out.append((base + 4 * odd) % 8)

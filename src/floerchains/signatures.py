@@ -37,7 +37,7 @@ def two_bridge_signature(p: int, q: int) -> int:
     if p == 1:
         return 0
     if p < 1 or p % 2 == 0:
-        raise ValueError(f"p must be odd and > 1, got {p}")
+        raise ValueError(f"p must be odd and >= 1, got {p}")
     q0 = q % p
     if q0 == 0 or math.gcd(p, q0) != 1:
         raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")

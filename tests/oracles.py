@@ -4,7 +4,8 @@
   of (p, q), its tridiagonal form and the exact signature of a symmetric
   integer matrix.
 - The lens lattice counts by a walk over the j-range and by a double loop
-  over the whole rectangle.
+  over the whole rectangle, and the batch lens index on a Fenwick tree of
+  one bit per folded value.
 - The torus-knot signature by a lattice count over the (p - 1)(q - 1) grid.
 - The torus-knot Alexander polynomial, as an {exponent: coefficient} dict,
   by exact polynomial division; it feeds ``casson_from_alexander``.
@@ -192,6 +193,38 @@ def walk_counts(p: int, q: int, ell: int) -> LatticeCounts:
         elif (ai == k1 and aj < k2) or (ai < k1 and aj == k2):
             n2 += 1
     return LatticeCounts(k2=k2, n1=n1, n2=n2)
+
+
+def bit_fenwick_indices(p: int, r: int) -> List[int]:
+    """``lens.indices_plus_one`` on a Fenwick tree of one bit per folded value.
+
+    The same folded-k2 parity argument as the shipping batch, with a prefix
+    parity and an update of O(log p) tree steps each per ell, where the
+    shipping batch keeps the values in words and takes a popcount.
+    """
+    half, r = p // 2, r % p
+    tree = [0] * (half + 1)
+    out = []
+    k2 = 0
+    for _ in range(half):
+        k2 -= r
+        if k2 < 0:
+            k2 += p
+        if k2 > half:
+            m, base = p - k2, 4  # 2*1 + N2
+        else:
+            m, base = k2, 2
+        odd = 0
+        i = m - 1
+        while i:
+            odd ^= tree[i]
+            i &= i - 1
+        i = m
+        while i <= half:
+            tree[i] ^= 1
+            i += i & -i
+        out.append((base + 4 * odd) % 8)
+    return out
 
 
 def torus_lattice_signature(p: int, q: int) -> int:

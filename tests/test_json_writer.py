@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import enum
 import io
 import json
 import math
@@ -152,6 +153,86 @@ def test_percent_signs_in_keys():
     rows = [{key: i * len(keys) + j for j, key in enumerate(keys)} for i in range(3)]
     assert flat_rows(rows) is not None
     assert printed(rows) == dumped(rows)
+
+
+def column_rows(column, other=None):
+    """One row per value of `column` under key "a", beside a str column "b"."""
+    other = other or [f"row {i}" for i in range(len(column))]
+    return [{"a": value, "b": text} for value, text in zip(column, other)]
+
+
+def lengthened(rows):
+    """`rows` repeated to a list long enough for the writer's typed columns."""
+    return rows * -(-cli._TYPED_ROWS // len(rows))
+
+
+BIG = [0, -1, 2**64 + 1, 10**40, -(10**40)]
+TYPED_COLUMNS = [
+    column_rows(BIG),
+    column_rows([True, False, False, True]),
+    column_rows([True, 1, 0, False]),
+    column_rows([1, 2, None, 4]),
+    column_rows([5, 6, 7], ["%", "%d", "100 %s %%d %(a)s %"]),
+    [{"a": value, "b": -value, "c": None} for value in BIG],
+]
+TYPED_IDS = ["big ints", "bools", "True beside 1", "int column with None",
+             "percent signs in values", "int columns only beside None"]
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+@pytest.mark.parametrize("rows", TYPED_COLUMNS, ids=TYPED_IDS)
+def test_typed_columns(rows, long):
+    # in a long list an all-int column is formatted with %d, any other with
+    # json.dumps; a short list encodes every value with json.dumps
+    if long:
+        rows = lengthened(rows)
+    assert flat_rows(rows) is not None
+    assert printed(rows) == dumped(rows)
+    record = {"generators": rows, "ranks": [1, 0]}
+    assert printed(record) == dumped(record)
+
+
+def fuzz_typed_rows(rng):
+    """cli._TYPED_ROWS to 50 more flat rows, some of whose columns hold only ints."""
+    keys = list(dict.fromkeys(fuzz_string(rng) for _ in range(rng.randrange(1, 6))))
+    ints = {key for key in keys if rng.random() < 0.5}
+    rows = []
+    for _ in range(cli._TYPED_ROWS + rng.randrange(51)):
+        rng.shuffle(keys)
+        rows.append({
+            key: rng.choice(INTS + [rng.randrange(-(2**70), 2**70)]) if key in ints
+            else fuzz_scalar(rng)
+            for key in keys
+        })
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fuzzed_typed_row_lists(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        rows = fuzz_typed_rows(rng)
+        assert flat_rows(rows) is not None, rows
+        assert printed(rows) == dumped(rows), rows
+
+
+class Grading(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "rows",
+    [column_rows([Grading.ONE, 1, 2]), column_rows([0, 1, Grading.ZERO])],
+    ids=["IntEnum in first row", "IntEnum in last row"],
+)
+def test_int_enum_in_an_int_column_raises(rows, long):
+    if long:
+        rows = lengthened(rows[:-1]) + rows[-1:]
+    assert flat_rows(rows) is None
+    with pytest.raises(TypeError, match="Object of type Grading is not JSON serializable"):
+        printed(rows)
 
 
 ROW = {"grading": 1, "id": 2, "multiplicity": 1, "origin": "reducible"}

@@ -6,7 +6,7 @@ from floerchains.complexes import two_bridge_generators
 from floerchains.lens import LatticeCounts, index_plus_one, indices_plus_one, lattice_counts
 from floerchains.signatures import two_bridge_signature
 
-from oracles import naive_counts, walk_counts
+from oracles import bit_fenwick_indices, naive_counts, walk_counts
 
 
 def classes(p, q):
@@ -120,6 +120,48 @@ class TestIndicesPlusOne:
             assert len(batch) == (p - 1) // 2
             for ell in rng.sample(range(1, (p - 1) // 2 + 1), 50):
                 assert batch[ell - 1] == index_plus_one(p, q, r, ell), (q, ell)
+
+
+class TestWordBlockedIndex:
+    """The word-blocked batch against the bit-per-value Fenwick tree it
+    replaced and against the per-class route.  Folded values up to
+    (p - 1)/2 fill one word for p <= 511, so the tree over word parities
+    first matters at the p below."""
+
+    @staticmethod
+    def check(p, q, ells):
+        """Every class against the oracle, the classes `ells` against the per-class route."""
+        r = mod_inverse(q, p)
+        batch = indices_plus_one(p, r)
+        assert batch == bit_fenwick_indices(p, r), (p, q)
+        for ell in ells:
+            assert batch[ell - 1] == index_plus_one(p, q, r, ell), (p, q, ell)
+
+    def test_every_pair_up_to_301(self):
+        for p in range(3, 302, 2):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    self.check(p, q, range(1, p // 2 + 1))
+
+    def test_every_q_at_word_boundaries(self):
+        # (p - 1)/2 is one below, at and one above 2**8 and 2**9 folded
+        # values; the per-class route, about 10 us a class, takes a sample
+        rng = random.Random(19)
+        for p in (511, 513, 515, 1023, 1025, 1027):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    self.check(p, q, rng.sample(range(1, p // 2 + 1), 16))
+
+    def test_seeded_pairs_up_to_200001(self):
+        rng = random.Random(19)
+        pairs = [(200001, 7), (200001, 200000)]
+        while len(pairs) < 8:
+            p = 2 * rng.randint(514, 100000) + 1
+            q = rng.randrange(1, p)
+            if math.gcd(p, q) == 1:
+                pairs.append((p, q))
+        for p, q in pairs:
+            self.check(p, q, rng.sample(range(1, p // 2 + 1), 40))
 
 
 class TestMorseBottIndex:
