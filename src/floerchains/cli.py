@@ -137,25 +137,16 @@ _JSON_SCALARS = {
 }
 
 
-# rows from which `_flat_rows` writes all-int columns as %d.  On shorter
-# lists the column scans and the json.dumps call per other column cost more
-# than the int columns save: Montesinos-knot rows, one all-int column of four
-# and mostly 3-66 rows, are slower that way
-_TYPED_ROWS = 128
-
-
 def _flat_rows(rows, newline: str) -> Optional[str]:
     """The items of the non-empty list `rows`, as `_write_json` lays them out
     between its brackets, if every item is an exact dict with the first
     item's set of str keys and scalar values; None otherwise.
 
-    The keys are sorted and escaped once, into one row template.  In a list
-    of at least `_TYPED_ROWS` rows, a column whose values are all exact ints
-    goes into it as ``%d``, which formats an int as `_JSON_SCALARS` does,
-    and every other column is encoded by one C ``json.dumps`` call of its
-    own; a shorter list encodes all its values in one call.  ``json.dumps``
-    gives the same text as `_JSON_SCALARS` for these exact types and never
-    a raw newline.
+    The keys are sorted and escaped once, into one row template.  A column
+    whose values are all exact ints goes into it as ``%d``, which formats an
+    int as `_JSON_SCALARS` does; every other column is encoded by one C
+    ``json.dumps`` call of its own, which gives the same text as
+    `_JSON_SCALARS` for these exact types and never a raw newline.
     """
     first = rows[0]
     if not first or {*map(type, rows)} != {dict}:
@@ -167,25 +158,20 @@ def _flat_rows(rows, newline: str) -> Optional[str]:
         values = [row[key] for row in rows for key in keys]
     except KeyError:  # a row with another key set
         return None
+    width = len(keys)
     inner = newline + "  "
-    fields = [inner + encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
-    if len(rows) < _TYPED_ROWS:
-        if not {*map(type, values)} <= _JSON_SCALARS.keys():
+    fields = []
+    for j, key in enumerate(keys):
+        column = values[j::width]
+        kind = {*map(type, column)}
+        field = inner + encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if kind == {int}:
+            fields.append(field + "%d")
+        elif kind <= _JSON_SCALARS.keys():
+            fields.append(field + "%s")
+            values[j::width] = json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
+        else:
             return None
-        values = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-        fields = [field + "%s" for field in fields]
-    else:
-        width = len(keys)
-        columns = [values[j::width] for j in range(width)]
-        kinds = [{*map(type, column)} for column in columns]
-        if not set().union(*kinds) <= _JSON_SCALARS.keys():
-            return None
-        for j, (column, kind) in enumerate(zip(columns, kinds)):
-            if kind == {int}:
-                fields[j] += "%d"
-            else:
-                fields[j] += "%s"
-                values[j::width] = json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
     row = "{" + ",".join(fields) + newline + "}"
     return ("," + newline).join([row] * len(rows)) % tuple(values)
 

@@ -117,13 +117,11 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """
     sign = two_bridge_signature(p, q)
     entries = [_row(sign % 4, 1, SPECIAL)]
-    append = entries.append
-    # the indices of L(p, q') read only the inverse of q', which is q itself;
-    # each circle's two rows are `_row` dicts, written out for speed
+    # the indices of L(p, q') read only the inverse of q', which is q itself
     for ell, index in enumerate(indices_plus_one(p, q), 1):
         mu = (index // 2 + sign) % 4
-        append({"grading": mu, "id": ell, "multiplicity": 1, "origin": REDUCIBLE})
-        append({"grading": (mu + 1) % 4, "id": ell, "multiplicity": 1, "origin": REDUCIBLE})
+        entries.append(_row(mu, 1, REDUCIBLE, ell))
+        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
     return GradedGenerators(tuple(entries))
 
 

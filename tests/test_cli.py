@@ -743,22 +743,17 @@ class TestWorkPerRecord:
         assert counts == [7, 7]
 
     def test_generator_rows_encode_only_their_mixed_columns(self, capsys, monkeypatch):
-        # from cli._TYPED_ROWS rows on, grading and multiplicity hold only ints
-        # and go into the row template as %d, while the id column (None for
-        # the special row) and the origin column take one json.dumps call
-        # each; a shorter list takes one call for all its values
+        # grading and multiplicity hold only ints and go into the row template
+        # as %d; the id column (None for the special row) and the origin
+        # column take one json.dumps call each
         calls = count_calls(monkeypatch, [(json, "dumps")])
         for p, q in (("5", "3"), ("1001", "376")):
             calls.clear()
             code, out, _ = run(capsys, "two-bridge", "-p", p, "-q", q, "--json")
             assert code == 0
             rows = json.loads(out)["generators"]
-            if len(rows) < cli._TYPED_ROWS:
-                expected = [([row[key] for row in rows for key in sorted(row)],)]
-            else:
-                expected = [([row["id"] for row in rows],), ([row["origin"] for row in rows],)]
+            expected = [([row["id"] for row in rows],), ([row["origin"] for row in rows],)]
             assert calls == expected, (p, q)
-        assert len(calls) == 2
 
     def test_parser_built_once(self, capsys, monkeypatch):
         assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0

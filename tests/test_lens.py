@@ -138,10 +138,13 @@ class TestWordBlockedIndex:
             assert batch[ell - 1] == index_plus_one(p, q, r, ell), (p, q, ell)
 
     def test_every_pair_up_to_301(self):
+        # every class against the oracle; the per-class route, which
+        # TestIndicesPlusOne runs on every class up to p = 99, takes a sample
+        rng = random.Random(301)
         for p in range(3, 302, 2):
             for q in range(1, p):
                 if math.gcd(p, q) == 1:
-                    self.check(p, q, range(1, p // 2 + 1))
+                    self.check(p, q, rng.sample(range(1, p // 2 + 1), min(4, p // 2)))
 
     def test_every_q_at_word_boundaries(self):
         # (p - 1)/2 is one below, at and one above 2**8 and 2**9 folded
