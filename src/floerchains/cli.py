@@ -142,11 +142,14 @@ def _flat_rows(rows, newline: str) -> Optional[str]:
     between its brackets, if every item is an exact dict with the first
     item's set of str keys and scalar values; None otherwise.
 
-    The keys are sorted and escaped once, into one row template.  A column
-    whose values are all exact ints goes into it as ``%d``, which formats an
-    int as `_JSON_SCALARS` does; every other column is encoded by one C
-    ``json.dumps`` call of its own, which gives the same text as
-    `_JSON_SCALARS` for these exact types and never a raw newline.
+    The keys are sorted and escaped once, into one row template.  Each
+    column goes into it by the exact types of its values, with the text of
+    `_JSON_SCALARS`: all ints as ``%d``; all strs as ``%s``, each distinct
+    value escaped once; ints and Nones as ``%s`` of the int or ``null``.
+    These three kinds cover every column a record holds.  Any other scalar
+    mix (bools, strs beside ints or Nones) is encoded by one C
+    ``json.dumps`` call of its own, which gives the same text for these
+    exact types and never a raw newline.
     """
     first = rows[0]
     if not first or {*map(type, rows)} != {dict}:
@@ -167,11 +170,17 @@ def _flat_rows(rows, newline: str) -> Optional[str]:
         field = inner + encode_basestring_ascii(key).replace("%", "%%") + ": "
         if kind == {int}:
             fields.append(field + "%d")
+            continue
+        if kind == {str}:
+            texts = {text: encode_basestring_ascii(text) for text in {*column}}
+            values[j::width] = map(texts.__getitem__, column)
+        elif kind <= {int, type(None)}:
+            values[j::width] = map({None: "null"}.get, column, column)
         elif kind <= _JSON_SCALARS.keys():
-            fields.append(field + "%s")
             values[j::width] = json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
         else:
             return None
+        fields.append(field + "%s")
     row = "{" + ",".join(fields) + newline + "}"
     return ("," + newline).join([row] * len(rows)) % tuple(values)
 

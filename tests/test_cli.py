@@ -743,17 +743,24 @@ class TestWorkPerRecord:
         assert counts == [7, 7]
 
     def test_generator_rows_encode_only_their_mixed_columns(self, capsys, monkeypatch):
-        # grading and multiplicity hold only ints and go into the row template
-        # as %d; the id column (None for the special row) and the origin
-        # column take one json.dumps call each
+        # a record's row columns hold ints (grading, multiplicity), ints and
+        # Nones (id; grading where it is unknown) or strs (origin), and each of
+        # these goes into the row template without a json.dumps call
         calls = count_calls(monkeypatch, [(json, "dumps")])
-        for p, q in (("5", "3"), ("1001", "376")):
+        for argv in (
+            ["two-bridge", "-p", "5", "-q", "3"],
+            ["two-bridge", "-p", "1001", "-q", "376"],
+            ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=-6"],
+            ["torus", "5", "4"],
+        ):
             calls.clear()
-            code, out, _ = run(capsys, "two-bridge", "-p", p, "-q", q, "--json")
+            code, out, _ = run(capsys, *argv, "--json")
             assert code == 0
             rows = json.loads(out)["generators"]
-            expected = [([row["id"] for row in rows],), ([row["origin"] for row in rows],)]
-            assert calls == expected, (p, q)
+            assert None in [row["id"] for row in rows], argv
+            unknown = argv[0] != "two-bridge"
+            assert (None in [row["grading"] for row in rows]) == unknown, argv
+            assert calls == [], argv
 
     def test_parser_built_once(self, capsys, monkeypatch):
         assert run(capsys, "two-bridge", "-p", "5", "-q", "3", "--json")[0] == 0

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from floerchains import cli
-from test_cli import INPUT_ERRORS
+from test_cli import INPUT_ERRORS, count_calls
 
 
 def printed(record):
@@ -162,39 +162,67 @@ def column_rows(column, other=None):
 
 
 BIG = [0, -1, 2**64 + 1, 10**40, -(10**40)]
+# escapes, non-ASCII and astral text, a lone surrogate and %-format text,
+# each value repeated
+TEXTS = ['say "hi"', "C:\\dir", "\x00\x1f\n\t", "\u00e9\u03bb\u2014", "\U0001f600", "\ud834",
+         "%", "%s", "100 %d %%"] * 3
+# each case with the number of its columns that go through json.dumps
 TYPED_COLUMNS = [
-    column_rows(BIG),
-    column_rows([True, False, False, True]),
-    column_rows([True, 1, 0, False]),
-    column_rows([1, 2, None, 4]),
-    column_rows([5, 6, 7], ["%", "%d", "100 %s %%d %(a)s %"]),
-    [{"a": value, "b": -value, "c": None} for value in BIG],
+    (column_rows(BIG), 0),
+    (column_rows([True, False, False, True]), 1),
+    (column_rows([True, 1, 0, False]), 1),
+    (column_rows([1, 2, None, 4]), 0),
+    (column_rows([5, 6, 7], ["%", "%d", "100 %s %%d %(a)s %"]), 0),
+    ([{"a": value, "b": -value, "c": None} for value in BIG], 0),
+    (column_rows(TEXTS, TEXTS[::-1]), 0),
+    (column_rows([None, 1, 2, 3]), 0),
+    (column_rows([1, 2, 3, None]), 0),
+    (column_rows([None, 10**40, -(10**40), 0, None]), 0),
+    (column_rows([None, None, None]), 0),
+    (column_rows([None, True, False]), 1),
+    (column_rows(["a", None, "a"]), 1),
+    (column_rows(["a", 1, "%s"]), 1),
 ]
 TYPED_IDS = ["big ints", "bools", "True beside 1", "int column with None",
-             "percent signs in values", "int columns only beside None"]
+             "percent signs in values", "int columns only beside None",
+             "repeated escaped strs", "None in first row", "None in last row",
+             "big ints beside None", "None column", "bools beside None",
+             "strs beside None", "strs beside ints"]
 
 
-@pytest.mark.parametrize("rows", TYPED_COLUMNS, ids=TYPED_IDS)
-def test_typed_columns(rows):
-    # an all-int column is formatted with %d, any other with json.dumps
+@pytest.mark.parametrize("rows, encoded", TYPED_COLUMNS, ids=TYPED_IDS)
+def test_typed_columns(rows, encoded, monkeypatch):
+    # an all-int column is formatted with %d, an all-str column and a column
+    # of ints and Nones with %s, any other scalar mix with json.dumps
+    calls = count_calls(monkeypatch, [(json, "dumps")])
     assert flat_rows(rows) is not None
+    assert len(calls) == encoded
+    monkeypatch.undo()
     assert printed(rows) == dumped(rows)
     record = {"generators": rows, "ranks": [1, 0]}
     assert printed(record) == dumped(record)
 
 
 def fuzz_typed_rows(rng):
-    """1 to 200 flat rows, some of whose columns hold only ints."""
+    """1 to 200 flat rows, each of whose columns holds only ints, only ints
+    and Nones, only a few distinct strs, or any scalars."""
     keys = list(dict.fromkeys(fuzz_string(rng) for _ in range(rng.randrange(1, 6))))
-    ints = {key for key in keys if rng.random() < 0.5}
+    texts = [fuzz_string(rng) for _ in range(3)]
+
+    def an_int():
+        return rng.choice(INTS + [rng.randrange(-(2**70), 2**70)])
+
+    draws = [
+        an_int,
+        lambda: None if rng.random() < 0.2 else an_int(),
+        lambda: rng.choice(texts),
+        lambda: fuzz_scalar(rng),
+    ]
+    draw = {key: rng.choice(draws) for key in keys}
     rows = []
     for _ in range(rng.randrange(1, 201)):
         rng.shuffle(keys)
-        rows.append({
-            key: rng.choice(INTS + [rng.randrange(-(2**70), 2**70)]) if key in ints
-            else fuzz_scalar(rng)
-            for key in keys
-        })
+        rows.append({key: draw[key]() for key in keys})
     return rows
 
 
@@ -214,8 +242,12 @@ class Grading(enum.IntEnum):
 
 @pytest.mark.parametrize(
     "rows",
-    [column_rows([Grading.ONE, 1, 2]), column_rows([0, 1] * 100 + [Grading.ZERO])],
-    ids=["IntEnum in first row", "IntEnum in last row"],
+    [
+        column_rows([Grading.ONE, 1, 2]),
+        column_rows([0, 1] * 100 + [Grading.ZERO]),
+        column_rows([None, Grading.ONE, 2]),
+    ],
+    ids=["IntEnum in first row", "IntEnum in last row", "IntEnum beside None"],
 )
 def test_int_enum_in_an_int_column_raises(rows):
     assert flat_rows(rows) is None
