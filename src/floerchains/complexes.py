@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
 from .covers import SeifertData
-from .errors import InconsistentLkError, NonIntegralAError
+from .errors import InconsistentLkError
 from .lens import index_plus_one, indices_plus_one
 from .seifert import (
     _irreducible_count,
@@ -248,7 +248,7 @@ def torus_complex(p: int, q: int) -> ChainRanks:
         raise ValueError(f"both parameters must be odd and >= 3, got ({p}, {q})")
     sign = torus_signature(p, q)
     if sign % 8:
-        raise NonIntegralAError(f"torus signature {sign} is not divisible by 8")
+        raise ArithmeticError(f"torus signature {sign} is not divisible by 8")
     a = -sign // 4
     return ChainRanks((1 + a, a, a, a), ABSOLUTE, conjectural=True)
 

@@ -39,7 +39,3 @@ class FlatCobordismError(DomainError):
 
 class InconsistentLkError(DomainError):
     """No admissible rank split is compatible with the given linking number."""
-
-
-class NonIntegralAError(DomainError):
-    """A torus signature is not divisible by 8; internal consistency failure."""

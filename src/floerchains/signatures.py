@@ -48,49 +48,23 @@ def two_bridge_signature(p: int, q: int) -> int:
 def torus_signature(p: int, q: int) -> int:
     """Signature of the right-handed torus knot on (p, q) strands.
 
-    Gordon-Litherland-Murasugi recursion (Trans. AMS 1981), for p > q:
-    sigma(p, 1) = 0, sigma(p, 2) = 1 - p, and
-
-        sigma(p, q) = sigma(p - 2q, q) - A(q)    if 2q < p,
-        sigma(p, q) = -sigma(2q - p, q) - B(q)   if q < p < 2q,
-
-    with A(q) = q^2 - 1, B(q) = q^2 - 1 for odd q and A(q) = q^2,
-    B(q) = q^2 - 2 for even q; sigma is symmetric in p and q.  The loop
-    keeps the answer as total + sign * sigma(p, q) and folds each run of one
-    rule into a single step, so it takes O(log) steps, like Euclid's
-    algorithm.  A run of the first rule is k = p // 2q steps.  The second
-    rule keeps d = p - q while q drops by d and the sign flips, so a pair of
-    its steps from q' lowers q by 2d and subtracts B(q') - B(q' - d) =
-    d*(2q' - d) + e with e = q mod 2 - (q - d) mod 2; k = (q - 1) // 2d
-    pairs fit, and the sum over them is closed.
-    ``tests/oracles.py`` holds the lattice count over the (p - 1)(q - 1)
-    grid that the tests pin this to.
+    sigma = N - 2I, with N = (p - 1)(q - 1) points (i, j) in [1, p) x [1, q)
+    and I of them strictly inside pq < 2(iq + jp) < 3pq; coprimality puts no
+    point on either bound.  For fixed i the inside j form one run of
+    [1, q - 1]: rows with 2iq < pq + 2p (i <= i0) keep its top end q - 1,
+    the rest are cut at 2jp < 3pq - 2iq, and rows with 2i < p (i <= i1)
+    lose the j with 2jp < pq - 2iq.
+    Each cut summed over its rows is one floor sum (``arith.floor_sum``),
+    so the count costs O(log) steps.  ``tests/oracles.py`` holds the
+    routes the tests pin it to: the O(pq) count itself and the
+    Gordon-Litherland-Murasugi recursion (Trans. AMS 1981).
     """
     if math.gcd(p, q) != 1:
         raise NotCoprimeError(f"gcd({p}, {q}) != 1")
     if p < 2 or q < 2:
         raise ValueError(f"torus parameters must be >= 2, got ({p}, {q})")
-    total, sign = 0, 1
-    while True:
-        if p < q:
-            p, q = q, p
-        if q == 1:
-            return total
-        if q == 2:
-            return total - sign * (p - 1)
-        if 2 * q < p:
-            k = p // (2 * q)
-            total -= sign * k * (q * q - q % 2)
-            p -= 2 * q * k
-            continue
-        d = p - q
-        k = (q - 1) // (2 * d)
-        if k:
-            e = q % 2 - (q - d) % 2
-            total -= sign * k * (d * (2 * q - 2 * d * k + d) + e)
-            q -= 2 * d * k
-            p = q + d
-        else:
-            total -= sign * (q * q - 2 + q % 2)
-            sign = -sign
-            p = 2 * q - p
+    i0 = min(p - 1, (p * q + 2 * p - 1) // (2 * q))
+    i1 = (p - 1) // 2
+    top = floor_sum(p - 1 - i0, 2 * p, 2 * q, p * q + 2 * q - 1)
+    low = floor_sum(i1, 2 * p, 2 * q, p * q - 2 * q * i1)
+    return (p - 1) * (q - 1) - 2 * (i0 * (q - 1) + top - low)

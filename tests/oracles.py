@@ -6,7 +6,9 @@
 - The lens lattice counts by a walk over the j-range and by a double loop
   over the whole rectangle, and the batch lens index on a Fenwick tree of
   one bit per folded value.
-- The torus-knot signature by a lattice count over the (p - 1)(q - 1) grid.
+- The torus-knot signature by a lattice count over the (p - 1)(q - 1) grid,
+  and by the Gordon-Litherland-Murasugi recursion with each run of one rule
+  folded into a single step.
 - The torus-knot Alexander polynomial, as an {exponent: coefficient} dict,
   by exact polynomial division; it feeds ``casson_from_alexander``.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
@@ -251,6 +253,57 @@ def torus_lattice_signature(p: int, q: int) -> int:
     if total % 2:
         raise ArithmeticError(f"odd signature {total} for ({p}, {q})")
     return total
+
+
+def torus_recursion_signature(p: int, q: int) -> int:
+    """Signature of the right-handed torus knot on (p, q) strands, O(log) steps.
+
+    Gordon-Litherland-Murasugi recursion (Trans. AMS 1981), for p > q:
+    sigma(p, 1) = 0, sigma(p, 2) = 1 - p, and
+
+        sigma(p, q) = sigma(p - 2q, q) - A(q)    if 2q < p,
+        sigma(p, q) = -sigma(2q - p, q) - B(q)   if q < p < 2q,
+
+    with A(q) = q^2 - 1, B(q) = q^2 - 1 for odd q and A(q) = q^2,
+    B(q) = q^2 - 2 for even q; sigma is symmetric in p and q.  The loop
+    keeps the answer as total + sign * sigma(p, q) and folds each run of one
+    rule into a single step, so it takes O(log) steps, like Euclid's
+    algorithm.  A run of the first rule is k = p // 2q steps.  The second
+    rule keeps d = p - q while q drops by d and the sign flips, so a pair of
+    its steps from q' lowers q by 2d and subtracts B(q') - B(q' - d) =
+    d*(2q' - d) + e with e = q mod 2 - (q - d) mod 2; k = (q - 1) // 2d
+    pairs fit, and the sum over them is closed.
+    It reaches sizes the O(pq) lattice count cannot, and it shares no step
+    with the shipping count in two floor sums.
+    """
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+    if p < 2 or q < 2:
+        raise ValueError(f"torus parameters must be >= 2, got ({p}, {q})")
+    total, sign = 0, 1
+    while True:
+        if p < q:
+            p, q = q, p
+        if q == 1:
+            return total
+        if q == 2:
+            return total - sign * (p - 1)
+        if 2 * q < p:
+            k = p // (2 * q)
+            total -= sign * k * (q * q - q % 2)
+            p -= 2 * q * k
+            continue
+        d = p - q
+        k = (q - 1) // (2 * d)
+        if k:
+            e = q % 2 - (q - d) % 2
+            total -= sign * k * (d * (2 * q - 2 * d * k + d) + e)
+            q -= 2 * d * k
+            p = q + d
+        else:
+            total -= sign * (q * q - 2 + q % 2)
+            sign = -sign
+            p = 2 * q - p
 
 
 def _poly_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:

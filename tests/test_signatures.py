@@ -4,9 +4,16 @@ import random
 import pytest
 
 from floerchains.errors import NotCoprimeError
+from floerchains.seifert import casson
 from floerchains.signatures import torus_signature, two_bridge_signature
 
-from oracles import even_continued_fraction, goeritz_signature, signature, torus_lattice_signature
+from oracles import (
+    even_continued_fraction,
+    goeritz_signature,
+    signature,
+    torus_lattice_signature,
+    torus_recursion_signature,
+)
 
 
 def brick_seifert_matrix(p, q):
@@ -137,6 +144,14 @@ class TestTwoBridgeSignature:
                     prev2, prev1 = prev1, c * prev1 - prev2
                 assert abs(prev1) == p
 
+    def test_residue_is_determinant_minus_one(self):
+        # sigma = det - 1 (mod 4) for every knot, and the two-bridge knot
+        # of (p, q) has determinant p
+        for p in range(1, 200, 2):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    assert (two_bridge_signature(p, q) - p + 1) % 4 == 0, (p, q)
+
     def test_unknot(self):
         assert two_bridge_signature(1, 1) == 0
 
@@ -160,7 +175,8 @@ class TestTorusSignature:
 
     def test_agrees_with_seifert_matrix_oracle(self):
         pairs = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (2, 9), (3, 7), (3, 8), (4, 5), (4, 7), (5, 6), (5, 7)]
-        # consecutive and near strand counts fold runs of the second rule
+        # consecutive and near strand counts, where the recursion oracle
+        # folds runs of its second rule
         pairs += [(5, 8), (6, 7), (7, 8)]
         for p, q in pairs:
             assert torus_signature(p, q) == seifert_oracle_signature(p, q)
@@ -182,9 +198,44 @@ class TestTorusSignature:
 
     @pytest.mark.parametrize("p,q,want", [(601, 603, -181200), (3, 100001, -133336)])
     def test_large_pins(self, p, q, want):
-        # (601, 603) runs the second rule 300 times; (3, 100001) the first 16666 times
+        # the recursion oracle runs its second rule 300 times on (601, 603)
+        # and its first 16666 times on (3, 100001)
         assert torus_signature(p, q) == torus_signature(q, p) == want
-        assert torus_lattice_signature(p, q) == want
+        assert torus_lattice_signature(p, q) == torus_recursion_signature(p, q) == want
+
+    def test_matches_recursion_small(self):
+        for p in range(2, 160):
+            for q in range(2, 160):
+                if math.gcd(p, q) == 1:
+                    assert torus_signature(p, q) == torus_recursion_signature(p, q), (p, q)
+
+    def test_matches_recursion_large(self):
+        rng = random.Random(9)
+        checked = 0
+        while checked < 2000:
+            p, q = rng.randrange(2, 10**9), rng.randrange(2, 10**9)
+            if math.gcd(p, q) == 1:
+                want = torus_recursion_signature(p, q)
+                assert torus_signature(p, q) == torus_signature(q, p) == want, (p, q)
+                assert torus_recursion_signature(q, p) == want, (p, q)
+                checked += 1
+
+    def test_residue_is_determinant_minus_one(self):
+        # sigma = det - 1 (mod 4) for every knot; det T(p, q) = |Delta(-1)|
+        # is 1 when both strand counts are odd and the odd one otherwise
+        for p in range(2, 120):
+            for q in range(p + 1, 120):
+                if math.gcd(p, q) == 1:
+                    det = 1 if p * q % 2 else p if p % 2 else q
+                    assert (torus_signature(p, q) - det + 1) % 4 == 0, (p, q)
+
+    def test_eight_times_brieskorn_casson(self):
+        # the double branched cover of T(p, q) is the Brieskorn sphere
+        # Sigma(2, p, q), and sigma = 8 * lambda there
+        for p in range(3, 60, 2):
+            for q in range(p + 2, 60, 2):
+                if math.gcd(p, q) == 1:
+                    assert torus_signature(p, q) == 8 * casson(2, p, q), (p, q)
 
     def test_two_strands(self):
         for q in (3, 5, 99, 100001):
