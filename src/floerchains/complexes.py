@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
-from .covers import SeifertData
+from .covers import SeifertData, _as_int
 from .errors import InconsistentLkError
 from .lens import index_plus_one, indices_plus_one
 from .seifert import (
@@ -101,11 +101,6 @@ def euler_characteristic(c: ChainRanks) -> int:
     return r[0] - r[1] + r[2] - r[3]
 
 
-def _canonical_rotation(vec: Sequence[int]) -> Tuple[int, int, int, int]:
-    rotations = [tuple(vec[i:]) + tuple(vec[:i]) for i in range(4)]
-    return min(rotations)
-
-
 def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """Generator blocks of the two-bridge chain complex for the pair (p, q).
 
@@ -184,7 +179,7 @@ def montesinos_knot_complex(
 
     k = _irreducible_count(reduced.pairs)
     if irreducible_block is not None:
-        block = tuple(int(x) for x in irreducible_block)
+        block = tuple(_as_int(x) for x in irreducible_block)
         if len(block) != 4 or any(x < 0 for x in block):
             raise ValueError(f"irreducible block must be four counts, got {block}")
         if sum(block) != 4 * k:
@@ -257,10 +252,11 @@ class LinkComplex(NamedTuple):
     """Rank data of a two-component Montesinos link complex.
 
     so3_classes is the number of SO(3) classes with nontrivial w2; each
-    contributes four generators and lifts to two SU(2) classes.  When the linking number determines the
-    split (n1, n3), candidates holds the single cyclic-canonical vector
+    contributes four generators and lifts to two SU(2) classes.  When the
+    linking number determines the split (n1, n3), n1 >= n3, candidates holds
+    the single vector (2n3, 2n1, 2n3, 2n1), the least rotation of
     (2n1, 2n3, 2n1, 2n3); without it, split is None and candidates holds
-    one vector per admissible split.
+    one such vector per admissible split.
     """
 
     so3_classes: int
@@ -301,10 +297,7 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
 
     if lk is None:
         candidates = tuple(
-            ChainRanks(
-                _canonical_rotation((2 * n1, 2 * (n - n1), 2 * n1, 2 * (n - n1))),
-                CYCLIC,
-            )
+            ChainRanks((2 * (n - n1), 2 * n1, 2 * (n - n1), 2 * n1), CYCLIC)
             for n1 in range((n + 1) // 2, n + 1)
         )
         return LinkComplex(
@@ -322,7 +315,7 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         )
     n1 = (n + quarter) // 2
     n3 = n - n1
-    vec = _canonical_rotation((2 * n1, 2 * n3, 2 * n1, 2 * n3))
+    vec = (2 * n3, 2 * n1, 2 * n3, 2 * n1)
     warnings = ()
     if n1 != n3:
         warnings = ("split (n1, n3) is determined only up to interchange",)

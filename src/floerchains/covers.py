@@ -13,6 +13,14 @@ from collections import namedtuple
 from typing import Mapping, Sequence, Tuple
 
 
+def _as_int(x) -> int:
+    """``int(x)``, but a non-integral number is refused rather than truncated."""
+    n = int(x)
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
 class SeifertData(namedtuple("SeifertData", "pairs")):
     """Unnormalized Seifert pairs (a_i, b_i) with a_i >= 1 and gcd(a_i, b_i) = 1.
 
@@ -24,7 +32,7 @@ class SeifertData(namedtuple("SeifertData", "pairs")):
     def __new__(cls, pairs: Sequence[Tuple[int, int]]):
         if not pairs:
             raise ValueError("SeifertData needs at least one pair")
-        normalized = tuple((int(a), int(b)) for a, b in pairs)
+        normalized = tuple((_as_int(a), _as_int(b)) for a, b in pairs)
         for a, b in normalized:
             if a < 1:
                 raise ValueError(f"fiber multiplicity must be >= 1, got {a}")

@@ -16,17 +16,17 @@ so a lens space is validated and inverted once, not once per class.  Two
 routes give the index:
 
 - ``indices_plus_one`` lists the index of every class of one lens space in
-  a single pass over ell with a word-blocked Fenwick tree, O(p log p) in
-  all; the two-bridge record, which grades all (p-1)/2 classes, takes this
-  route.
+  a single pass over ell, two popcounts per class over words of about
+  sqrt(p) bits; the two-bridge record, which grades all (p-1)/2 classes,
+  takes this route.
 - ``index_plus_one`` gives one class in O(log p): N1 is a difference of two
   floor sums (``arith.floor_sum``) and N2 is 0 or 2 (see
   ``lattice_counts``).  The Montesinos-knot route, which needs at most
   three indices per class, takes this one.
 
-The tests pin the batch to the per-class route and to the bit-per-value
-Fenwick tree it replaced, and the per-class route to a walk over the
-j-range and a double loop over the whole rectangle (``tests/oracles.py``).
+The tests pin the batch to the per-class route and to the two Fenwick-tree
+kernels it replaced, and the per-class route to a walk over the j-range and
+a double loop over the whole rectangle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from .arith import floor_sum
-
-# word width of the batch index, in bits, as a shift: wider words make each
-# popcount and word copy dearer (2**16-bit words made p = 200001 about three
-# times slower)
-_WORD_SHIFT = 8
-_WORD_MASK = (1 << _WORD_SHIFT) - 1
 
 
 class LatticeCounts(NamedTuple):
@@ -103,16 +97,18 @@ def indices_plus_one(p: int, r: int) -> List[int]:
     So N1 = 1 + 2*#{c < ell : m(c) < m(ell)} (mod 4), while N2 = 2 exactly
     when 2*k2(ell) > p.
 
-    The values m seen so far are bits of words of 2**_WORD_SHIFT bits.  The
-    parity of those below m is the popcount of m's word under m's bit, plus
-    the parity of every earlier word, a prefix on a Fenwick tree of word
-    parities (Fenwick, Software Pract. Exper. 1994): one popcount and
-    O(log p) steps per ell.
+    The values m seen so far are bits of words of 2**s bits, with
+    s = p.bit_length() // 2, and bit w of ``parities`` is the parity of
+    word w.  The parity of the values below m is two popcounts: m's word
+    under m's bit, and ``parities`` under m's word.  That is O(p) interpreter steps and
+    popcounts over O(p**1.5) bits in all; a fixed width would make the
+    popcounts of ``parities`` O(p**2) bits.
     """
     half, r = p // 2, r % p
-    words = [0] * ((half >> _WORD_SHIFT) + 1)
-    size = len(words)
-    tree = [0] * (size + 1)  # tree[i]: parity of a run of words ending at word i - 1
+    shift = p.bit_length() // 2  # words of about sqrt(p) bits
+    mask = (1 << shift) - 1
+    words = [0] * ((half >> shift) + 1)
+    parities = 0  # bit w: parity of the values seen in word w
     out = []
     k2 = 0
     for _ in range(half):
@@ -123,18 +119,11 @@ def indices_plus_one(p: int, r: int) -> List[int]:
             m, base = p - k2, 4  # 2*1 + N2
         else:
             m, base = k2, 2
-        w = m >> _WORD_SHIFT
-        bit = 1 << (m & _WORD_MASK)
+        w = m >> shift
+        bit = 1 << (m & mask)
         word = words[w]
-        odd = (word & (bit - 1)).bit_count()  # only its parity is read
+        odd = (word & (bit - 1)).bit_count() + (parities & ((1 << w) - 1)).bit_count()
         words[w] = word | bit
-        i = w
-        while i:
-            odd ^= tree[i]
-            i &= i - 1
-        i = w + 1
-        while i <= size:
-            tree[i] ^= 1
-            i += i & -i
+        parities ^= 1 << w
         out.append((base + 4 * odd) % 8)
     return out

@@ -5,7 +5,8 @@
   integer matrix.
 - The lens lattice counts by a walk over the j-range and by a double loop
   over the whole rectangle, and the batch lens index on a Fenwick tree of
-  one bit per folded value.
+  one bit per folded value and on 256-bit words with a Fenwick tree over
+  their parities.
 - The torus-knot signature by a lattice count over the (p - 1)(q - 1) grid,
   and by the Gordon-Litherland-Murasugi recursion with each run of one rule
   folded into a single step.
@@ -202,7 +203,7 @@ def bit_fenwick_indices(p: int, r: int) -> List[int]:
 
     The same folded-k2 parity argument as the shipping batch, with a prefix
     parity and an update of O(log p) tree steps each per ell, where the
-    shipping batch keeps the values in words and takes a popcount.
+    shipping batch keeps the values in words and takes two popcounts.
     """
     half, r = p // 2, r % p
     tree = [0] * (half + 1)
@@ -223,6 +224,45 @@ def bit_fenwick_indices(p: int, r: int) -> List[int]:
             i &= i - 1
         i = m
         while i <= half:
+            tree[i] ^= 1
+            i += i & -i
+        out.append((base + 4 * odd) % 8)
+    return out
+
+
+def word_fenwick_indices(p: int, r: int) -> List[int]:
+    """``lens.indices_plus_one`` on 256-bit words and a Fenwick tree over their parities.
+
+    The folded values m seen so far are bits of 256-bit words.  The parity
+    of those below m is the popcount of m's word under m's bit, plus a
+    prefix parity on a Fenwick tree of word parities: one popcount and
+    O(log p) tree steps per ell.
+    """
+    half, r = p // 2, r % p
+    words = [0] * ((half >> 8) + 1)
+    size = len(words)
+    tree = [0] * (size + 1)  # tree[i]: parity of a run of words ending at word i - 1
+    out = []
+    k2 = 0
+    for _ in range(half):
+        k2 -= r
+        if k2 < 0:
+            k2 += p
+        if k2 > half:
+            m, base = p - k2, 4  # 2*1 + N2
+        else:
+            m, base = k2, 2
+        w = m >> 8
+        bit = 1 << (m & 255)
+        word = words[w]
+        odd = (word & (bit - 1)).bit_count()  # only its parity is read
+        words[w] = word | bit
+        i = w
+        while i:
+            odd ^= tree[i]
+            i &= i - 1
+        i = w + 1
+        while i <= size:
             tree[i] ^= 1
             i += i & -i
         out.append((base + 4 * odd) % 8)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from floerchains import complexes
@@ -27,6 +31,7 @@ from floerchains.errors import (
     NotHomologyS1xS2Error,
 )
 from floerchains.lens import LatticeCounts
+from floerchains.seifert import brieskorn_seifert_data
 from floerchains.signatures import torus_signature
 
 import oracles
@@ -108,6 +113,22 @@ class TestMontesinosKnotComplex:
         gens = montesinos_knot_complex(data, -8)
         assert gens.ranks().r == special_montesinos_complex(2, 3, 7).r
 
+    def test_homology_sphere_branch_over_brieskorn_triples(self):
+        # every pairwise coprime 2 <= p < q < r < 26: the Brieskorn pairs in
+        # each order, their mirror and a split-off trivial fiber all grade
+        # the irreducibles as the Brieskorn route does
+        for p, q, r in itertools.combinations(range(2, 26), 3):
+            if math.gcd(p, q) != 1 or math.gcd(p, r) != 1 or math.gcd(q, r) != 1:
+                continue
+            expected = special_montesinos_complex(p, q, r).r
+            pairs = brieskorn_seifert_data(p, q, r).pairs
+            (a1, b1), rest = pairs[0], pairs[1:]
+            variants = list(itertools.permutations(pairs))
+            variants.append(tuple((a, -b) for a, b in pairs))
+            variants.append(((a1, b1 - a1),) + rest + ((1, 1),))
+            for v in variants:
+                assert montesinos_knot_complex(SeifertData(v), 0).ranks().r == expected, v
+
     def test_flat_cobordism_violation(self):
         with pytest.raises(FlatCobordismError):
             montesinos_knot_complex(SeifertData(((3, 1), (3, 1), (3, 1))), 0)
@@ -132,6 +153,11 @@ class TestMontesinosKnotComplex:
 
     def test_block_validation(self):
         data = SeifertData(((2, -1), (3, 1), (3, 1)))
+        # a non-integral count is refused, not truncated to (2, 0, 0, 2)
+        with pytest.raises(ValueError, match="expected an integer, got 2.9"):
+            montesinos_knot_complex(data, -6, (2.9, 0, 0, 2.2))
+        with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(5, 2\)"):
+            montesinos_knot_complex(data, -6, (2, 0, Fraction(5, 2), 2))
         with pytest.raises(ValueError):
             montesinos_knot_complex(data, -6, (1, 0, 0, 2))
         with pytest.raises(ValueError):
@@ -143,6 +169,7 @@ class TestMontesinosKnotComplex:
             montesinos_knot_complex(data, -6, (1, 1, 1, 1))
         for good in ((2, 0, 0, 2), (2, 2, 0, 0), (0, 2, 2, 0), (0, 0, 2, 2)):
             assert montesinos_knot_complex(data, -6, good).ranks() is not None
+        assert montesinos_knot_complex(data, -6, (2.0, "0", 0, True + True)).ranks() is not None
 
 
 class TestTorusComplex:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +87,18 @@ class TestSeifertH1Order:
             SeifertData(((0, 1),))
         with pytest.raises(ValueError, match=r"pair \(4, 2\) is not coprime"):
             SeifertData(((2, 1),))._replace(pairs=[(4, 2)])
+        # a non-integral number is refused, not truncated to ((2, 1), (3, 1), (7, -6))
+        with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+            SeifertData(((2.5, 1), (3, 1.9), (Fraction(15, 2), -6.5)))
+        with pytest.raises(ValueError, match="expected an integer, got 1.9"):
+            SeifertData(((2, 1), (3, 1.9)))
+        with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(15, 2\)"):
+            SeifertData(((Fraction(15, 2), -6),))
+        with pytest.raises(ValueError, match="expected an integer, got -6.5"):
+            SeifertData(((7, -6.5),))
+        with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+            SeifertData(((2, 1),))._replace(pairs=[(2.5, 1)])
+        assert SeifertData(((2.0, 1), (3, Fraction(4, 2)))).pairs == ((2, 1), (3, 2))
 
     def test_pairs_are_normalized_to_int_tuples(self):
         data = SeifertData([[2, -1], (3, True), ("3", 1)])

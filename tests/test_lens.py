@@ -6,7 +6,7 @@ from floerchains.complexes import two_bridge_generators
 from floerchains.lens import LatticeCounts, index_plus_one, indices_plus_one, lattice_counts
 from floerchains.signatures import two_bridge_signature
 
-from oracles import bit_fenwick_indices, naive_counts, walk_counts
+from oracles import bit_fenwick_indices, naive_counts, walk_counts, word_fenwick_indices
 
 
 def classes(p, q):
@@ -122,18 +122,21 @@ class TestIndicesPlusOne:
                 assert batch[ell - 1] == index_plus_one(p, q, r, ell), (q, ell)
 
 
-class TestWordBlockedIndex:
-    """The word-blocked batch against the bit-per-value Fenwick tree it
-    replaced and against the per-class route.  Folded values up to
-    (p - 1)/2 fill one word for p <= 511, so the tree over word parities
-    first matters at the p below."""
+class TestTwoPopcountIndex:
+    """The two-popcount batch against the two Fenwick-tree kernels it
+    replaced and against the per-class route.  Words hold 2**s bits with
+    s = p.bit_length() // 2, so several words are in play from p = 5 on,
+    and the width doubles where p gains a bit, as from 511 to 513."""
+
+    both = (bit_fenwick_indices, word_fenwick_indices)
 
     @staticmethod
-    def check(p, q, ells):
-        """Every class against the oracle, the classes `ells` against the per-class route."""
+    def check(p, q, ells, oracles=(bit_fenwick_indices,)):
+        """Every class against each oracle, the classes `ells` against the per-class route."""
         r = mod_inverse(q, p)
         batch = indices_plus_one(p, r)
-        assert batch == bit_fenwick_indices(p, r), (p, q)
+        for oracle in oracles:
+            assert batch == oracle(p, r), (oracle.__name__, p, q)
         for ell in ells:
             assert batch[ell - 1] == index_plus_one(p, q, r, ell), (p, q, ell)
 
@@ -147,6 +150,7 @@ class TestWordBlockedIndex:
                     self.check(p, q, rng.sample(range(1, p // 2 + 1), min(4, p // 2)))
 
     def test_every_q_at_word_boundaries(self):
+        # the width steps from 2**4 to 2**5 bits between 511 and 513, and
         # (p - 1)/2 is one below, at and one above 2**8 and 2**9 folded
         # values; the per-class route, about 10 us a class, takes a sample
         rng = random.Random(19)
@@ -154,6 +158,16 @@ class TestWordBlockedIndex:
             for q in range(1, p):
                 if math.gcd(p, q) == 1:
                     self.check(p, q, rng.sample(range(1, p // 2 + 1), 16))
+
+    def test_seeded_q_across_a_width_step(self):
+        # the width steps from 2**5 to 2**6 bits between 2047 and 2049, and
+        # the word count from 32 to 33 between 4095 and 4097; 40 q each
+        # keeps the test near half a second
+        rng = random.Random(23)
+        for p in (2047, 2049, 4095, 4097):
+            qs = [q for q in range(1, p) if math.gcd(p, q) == 1]
+            for q in rng.sample(qs, 40):
+                self.check(p, q, rng.sample(range(1, p // 2 + 1), 2), self.both)
 
     def test_seeded_pairs_up_to_200001(self):
         rng = random.Random(19)
@@ -164,7 +178,7 @@ class TestWordBlockedIndex:
             if math.gcd(p, q) == 1:
                 pairs.append((p, q))
         for p, q in pairs:
-            self.check(p, q, rng.sample(range(1, p // 2 + 1), 40))
+            self.check(p, q, rng.sample(range(1, p // 2 + 1), 40), self.both)
 
 
 class TestMorseBottIndex:
