@@ -51,41 +51,37 @@ from .covers import SeifertData, branched_cover_h1, cup_form, grading_shift_delt
 from .errors import DomainError, NotCoprimeError
 
 
-def parse_pairs(text: str) -> SeifertData:
-    """Parse the `a,b;a,b;...` Seifert-pair grammar."""
+def _int_pairs(
+    text: str, sep: str, pair_sep: str, item: str, whole: str, usage: str
+) -> List[Tuple[int, int]]:
+    """The integer pairs `a<pair_sep>b` of a `sep`-separated list; blank items are skipped."""
     pairs = []
-    for chunk in text.split(";"):
+    for chunk in text.split(sep):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            a, b = map(int, chunk.split(","))
+            a, b = map(int, chunk.split(pair_sep))
         except ValueError:
-            raise ValueError(
-                f"bad Seifert pair {chunk!r}; --pairs takes integer pairs a,b;a,b;..."
-            ) from None
+            raise ValueError(f"bad {item} {chunk!r}; {usage}") from None
         pairs.append((a, b))
     if not pairs:
-        raise ValueError("empty Seifert data; --pairs takes integer pairs a,b;a,b;...")
-    return SeifertData(tuple(pairs))
+        raise ValueError(f"empty {whole}; {usage}")
+    return pairs
+
+
+def parse_pairs(text: str) -> SeifertData:
+    """Parse the `a,b;a,b;...` Seifert-pair grammar."""
+    usage = "--pairs takes integer pairs a,b;a,b;..."
+    return SeifertData(_int_pairs(text, ";", ",", "Seifert pair", "Seifert data", usage))
 
 
 def parse_alexander(text: str) -> Dict[int, int]:
     """Parse `exp:coeff,exp:coeff,...` into an {exponent: coefficient} dict; `0:0` is zero."""
+    usage = "--alexander takes integer terms exp:coeff,..."
     coeffs = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            e, c = map(int, chunk.split(":"))
-        except ValueError:
-            raise ValueError(
-                f"bad Alexander term {chunk!r}; --alexander takes integer terms exp:coeff,..."
-            ) from None
+    for e, c in _int_pairs(text, ",", ":", "Alexander term", "Alexander polynomial", usage):
         coeffs[e] = coeffs.get(e, 0) + c
-    if not coeffs:
-        raise ValueError("empty Alexander polynomial; --alexander takes integer terms exp:coeff,...")
     return coeffs
 
 
@@ -408,7 +404,7 @@ def _cmd_montesinos_link(args) -> Dict:
         extras["candidates"] = [list(c.r) for c in result.candidates]
     else:
         extras["euler_characteristic"] = f"+-{abs(euler_characteristic(ranks))}"
-        if result.split and 0 in result.split:
+        if 0 in result.split:
             notes.append(
                 "generators sit in two gradings of equal parity; the "
                 "differential vanishes and chain ranks equal homology ranks"
@@ -529,6 +525,17 @@ def _read_config(path: str) -> Dict[str, str]:
 _SUBPARSERS: Dict[str, argparse.ArgumentParser] = {}
 
 
+class _StoreOne(argparse.Action):
+    """argparse's default store, except that a value of `--` joined to its
+    flag (`--pairs=--`) is a usage error: argparse drops that `--` and would
+    store an empty list in place of the value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if type(values) is list:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call and shared after it.
@@ -547,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         _SUBPARSERS[name] = subparser = sub.add_parser(name, **kwargs)
+        subparser.register("action", None, _StoreOne)
         return subparser
 
     p = add("two-bridge", help="two-bridge knot of type -p/q")

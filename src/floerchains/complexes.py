@@ -44,6 +44,7 @@ class ChainRanks(namedtuple("ChainRanks", "r anchoring conjectural")):
     def __new__(
         cls, r: Tuple[int, int, int, int], anchoring: str = ABSOLUTE, conjectural: bool = False
     ):
+        r = tuple(map(_as_int, r))
         if len(r) != 4 or any(x < 0 for x in r):
             raise ValueError(f"ranks must be four non-negative integers, got {r}")
         if anchoring not in (ABSOLUTE, CYCLIC):
@@ -149,6 +150,7 @@ def montesinos_knot_complex(
     4-vector if one is supplied, by the pairing argument when the cover is
     a homology sphere (no reducible class), and are otherwise left unknown.
     """
+    sign_k = _as_int(sign_k)
     if sign_k % 2:
         raise ValueError(f"knot signatures are even, got {sign_k}")
     reduced, order = _reduced_cover(s)
@@ -178,6 +180,7 @@ def montesinos_knot_complex(
         entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, idx))
 
     k = _irreducible_count(reduced.pairs)
+    block = ()
     if irreducible_block is not None:
         block = tuple(_as_int(x) for x in irreducible_block)
         if len(block) != 4 or any(x < 0 for x in block):
@@ -190,23 +193,20 @@ def montesinos_knot_complex(
             # each class places two generators at mu and two at mu + 1,
             # so entries are even and the alternating sum vanishes
             raise ValueError(f"block {block} is not a sum of consecutive-grading pairs")
-    if k:
-        if irreducible_block is not None:
-            for g, count in enumerate(block):
-                if count:
-                    entries.append(_row(g, count, IRREDUCIBLE))
-        elif not classes:
-            # homology sphere: the degree-4 pairing spreads the classes
-            # uniformly, one generator per class in every grading
-            for g in range(4):
-                entries.append(_row(g, k, IRREDUCIBLE))
-        else:
-            warnings.append(
-                f"unknown gradings: {k} irreducible class(es) contribute "
-                f"{4 * k} generators at unresolved gradings"
-            )
-            for idx in range(1, k + 1):
-                entries.append(_row(None, 4, IRREDUCIBLE, idx))
+    elif not classes:
+        # homology sphere: the degree-4 pairing spreads the classes
+        # uniformly, one generator per class in every grading
+        block = (k, k, k, k)
+    elif k:
+        warnings.append(
+            f"unknown gradings: {k} irreducible class(es) contribute "
+            f"{4 * k} generators at unresolved gradings"
+        )
+        for idx in range(1, k + 1):
+            entries.append(_row(None, 4, IRREDUCIBLE, idx))
+    for g, count in enumerate(block):
+        if count:
+            entries.append(_row(g, count, IRREDUCIBLE))
 
     return GradedGenerators(tuple(entries), tuple(warnings))
 
@@ -296,36 +296,23 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
     )
 
     if lk is None:
-        candidates = tuple(
-            ChainRanks((2 * (n - n1), 2 * n1, 2 * (n - n1), 2 * n1), CYCLIC)
-            for n1 in range((n + 1) // 2, n + 1)
-        )
-        return LinkComplex(
-            so3_classes=n,
-            candidates=candidates,
-            split=None,
-            warnings=("ambiguous split: no linking number supplied",),
-            notes=notes,
-        )
-
-    quarter, rem = divmod(abs(lk), 4)
-    if rem or quarter > n or (n + quarter) % 2:
-        raise InconsistentLkError(
-            f"|lk| = {abs(lk)} admits no split with n1 + n3 = {n}"
-        )
-    n1 = (n + quarter) // 2
-    n3 = n - n1
-    vec = (2 * n3, 2 * n1, 2 * n3, 2 * n1)
-    warnings = ()
-    if n1 != n3:
-        warnings = ("split (n1, n3) is determined only up to interchange",)
-    return LinkComplex(
-        so3_classes=n,
-        candidates=(ChainRanks(vec, CYCLIC),),
-        split=(n1, n3),
-        warnings=warnings,
-        notes=notes,
+        n1s = range((n + 1) // 2, n + 1)
+        split = None
+        warnings = ("ambiguous split: no linking number supplied",)
+    else:
+        lk = _as_int(lk)
+        quarter, rem = divmod(abs(lk), 4)  # quarter = n1 - n3
+        if rem or quarter > n or (n + quarter) % 2:
+            raise InconsistentLkError(
+                f"|lk| = {abs(lk)} admits no split with n1 + n3 = {n}"
+            )
+        n1 = (n + quarter) // 2
+        n1s, split = (n1,), (n1, n - n1)
+        warnings = ("split (n1, n3) is determined only up to interchange",) if quarter else ()
+    candidates = tuple(
+        ChainRanks((2 * (n - n1), 2 * n1, 2 * (n - n1), 2 * n1), CYCLIC) for n1 in n1s
     )
+    return LinkComplex(n, candidates, split, warnings, notes)
 
 
 def casson_from_alexander(delta: Mapping[int, int]) -> int:

@@ -120,7 +120,8 @@ def casson(p: int, q: int, r: int) -> int:
 
     Builds Seifert data with Euler number -1/(p*q*r) and counts irreducible
     classes; the invariant is minus half the count.  Inputs must be
-    pairwise coprime positive integers.
+    pairwise coprime positive integers.  A trivial multiplicity needs no
+    case of its own: its fiber sweeps an empty range, so the count is 0.
     """
     values = (p, q, r)
     if any(v < 1 for v in values):
@@ -128,10 +129,6 @@ def casson(p: int, q: int, r: int) -> int:
     for x, y in itertools.combinations(values, 2):
         if math.gcd(x, y) != 1:
             raise NotCoprimeError(f"{x} and {y} are not coprime")
-    if min(values) == 1:
-        # a trivial multiplicity makes the sphere a union of at most two
-        # fibered solid tori, i.e. S^3 or a lens space: no irreducibles
-        return 0
     count = _irreducible_count(brieskorn_seifert_data(p, q, r).pairs)
     if count % 2:
         raise ArithmeticError(f"odd irreducible count {count} for ({p}, {q}, {r})")
@@ -139,10 +136,14 @@ def casson(p: int, q: int, r: int) -> int:
 
 
 def brieskorn_seifert_data(p: int, q: int, r: int) -> SeifertData:
-    """Seifert pairs for the Brieskorn sphere: e = -1/(p*q*r)."""
+    """Seifert pairs for the Brieskorn sphere: e = -1/(p*q*r).
+
+    A trivial multiplicity needs no case of its own: the inverse mod 1 is 0,
+    so its pair is (1, 0), or carries the remainder when it comes last.
+    """
     qr, pr, pq = q * r, p * r, p * q
-    b1 = (-mod_inverse(qr % p, p)) % p if p > 1 else 0
-    b2 = (-mod_inverse(pr % q, q)) % q if q > 1 else 0
+    b1 = (-mod_inverse(qr % p, p)) % p
+    b2 = (-mod_inverse(pr % q, q)) % q
     rem = -1 - b1 * qr - b2 * pr
     if rem % pq:
         raise ArithmeticError(f"Euler number -1/{p * q * r} has no integral third pair")

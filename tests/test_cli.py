@@ -1,7 +1,9 @@
 import argparse
 import copy
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -93,6 +95,30 @@ class TestParsing:
     def test_pairs_reject_garbage(self):
         with pytest.raises(ValueError):
             parse_pairs("2;3")
+
+    def test_blank_items_are_skipped(self):
+        assert parse_pairs("2,-1;;3,1;3,1").pairs == ((2, -1), (3, 1), (3, 1))
+        assert parse_pairs(" 2,-1 ; ;3, 1;3,1; ").pairs == ((2, -1), (3, 1), (3, 1))
+        assert parse_alexander("-1:1,,0:-1, ,1:1,") == {-1: 1, 0: -1, 1: 1}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["homology", "--pairs=2,1;2,x"], f"bad Seifert pair '2,x'; {PAIRS_GRAMMAR}"),
+            (["homology", "--pairs="], f"empty Seifert data; {PAIRS_GRAMMAR}"),
+            (["homology", "--pairs=;;"], f"empty Seifert data; {PAIRS_GRAMMAR}"),
+            (["homology", "--alexander=1:1, 0:x"],
+             f"bad Alexander term '0:x'; {ALEXANDER_GRAMMAR}"),
+            (["homology", "--alexander="], f"empty Alexander polynomial; {ALEXANDER_GRAMMAR}"),
+            (["homology", "--alexander=,,"], f"empty Alexander polynomial; {ALEXANDER_GRAMMAR}"),
+            (["torus", "3", "4", "--irreducible-block=2,0,0"],
+             f"bad grading pin '2,0,0'; {BLOCK_GRAMMAR}"),
+            (["torus", "3", "4", "--irreducible-block="], f"bad grading pin ''; {BLOCK_GRAMMAR}"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_grammar_error_text(self, argv, message):
+        assert cli._evaluate(cli._parse(argv)) == (1, {"error": "ValueError", "message": message})
 
     def test_alexander(self):
         assert parse_alexander("-1:1,0:-1,1:1") == {-1: 1, 0: -1, 1: 1}
@@ -523,6 +549,10 @@ USAGE_PROBES = [
     ["regress", "--filter"],
     ["config"],
     ["config", "job.cfg", "extra"],
+    # argparse drops a joined `--` value and would store an empty list
+    ["two-bridge", "-p=--", "-q", "3"],
+    ["montesinos-knot", "--pairs=2,-1;3,1;3,1", "--signature=--"],
+    ["montesinos-link", "--pairs=2,1;3,-1;6,-1", "--lk=--"],
 ]
 # argv that parse, abbreviated and repeated flags and joined values included
 VALID_ARGV = [
@@ -816,3 +846,126 @@ class TestConfigMode:
             main(["config", str(cfg), "--json"])
         assert err.value.code == 2
         assert "cannot read config file" in capsys.readouterr().err
+
+
+FAMILIES = tuple(cli._HANDLERS)
+MALFORMED = ("x", "", "1.5", "2,", ";", "1:2:3", "--", "0x1f", " ")
+
+
+def fuzz_argv(rng, family):
+    """One seeded argv of `family`, biased toward valid input.
+
+    Values are mostly small and at most one reaches |v| = 200, so every
+    record stays cheap; about one token in twelve is malformed, and a flag
+    is sometimes left out or added.
+    """
+    large = rng.random() < 0.3
+
+    def num(positive=False):
+        nonlocal large
+        if large and rng.random() < 0.3:
+            large = False
+            v = rng.randint(-200, 200)
+        else:
+            bound = rng.choice((3, 12, 40))
+            v = rng.randint(-bound, bound)
+        return abs(v) if positive and rng.random() < 0.9 else v
+
+    def token(value):
+        return rng.choice(MALFORMED) if rng.random() < 1 / 12 else str(value)
+
+    def option(name, value):
+        # the joined form keeps a value with a leading dash a value
+        return [f"{name}={value}"] if rng.random() < 0.5 else [name, value]
+
+    def pairs():
+        count = rng.choice((1, 2, 3, 3, 3, 3, 4, 5))
+        return token(";".join(f"{num(True) or 1},{num()}" for _ in range(count)))
+
+    def sphere_pairs():
+        # pairwise coprime fibers, with b solving |H1| = 1: a knot cover
+        a1, a2, a3 = (rng.randint(1, 12) for _ in range(3))
+        while math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+            a1, a2, a3 = (rng.randint(1, 12) for _ in range(3))
+        h = rng.choice((-1, 1))
+        b3 = h * pow(a1 * a2, -1, a3)
+        t = (h - b3 * a1 * a2) // a3
+        b1 = t * pow(a2, -1, a1)
+        return token(f"{a1},{b1};{a2},{(t - b1 * a2) // a1};{a3},{b3}")
+
+    def link_pairs():
+        # two small fibers and a third that makes the Euler number vanish
+        (a1, b1), (a2, b2) = ((rng.randint(2, 12), rng.randint(-12, 12)) for _ in range(2))
+        return token(f"{a1},{b1};{a2},{b2};{a1 * a2},{-b1 * a2 - b2 * a1}")
+
+    def alexander():
+        count = rng.randint(1, 5)
+        return token(",".join(f"{num()}:{num()}" for _ in range(count)))
+
+    def block():
+        return token(",".join(str(2 * num(True)) for _ in range(4)))
+
+    argv = [family]
+    if family == "two-bridge":
+        argv += ["-p", token(num(True) | 1), "-q", token(num())]
+    elif family in ("brieskorn-knot", "torus"):
+        argv += [token(num(True)) for _ in range(3 if family == "brieskorn-knot" else 2)]
+        if family == "torus" and rng.random() < 0.2:
+            argv += option("--irreducible-block", block())
+    elif family == "montesinos-knot":
+        argv += option("--pairs", sphere_pairs() if rng.random() < 0.4 else pairs())
+        argv += option("--signature", token(2 * num()))
+        if rng.random() < 0.2:
+            argv += option("--irreducible-block", block())
+    elif family == "montesinos-link":
+        argv += option("--pairs", link_pairs() if rng.random() < 0.6 else pairs())
+        if rng.random() < 0.7:
+            argv += option("--lk", token(4 * rng.randint(-4, 4)))
+        if rng.random() < 0.2:
+            argv += option("--alexander", alexander())
+    else:
+        source = ("--pairs", pairs()) if rng.random() < 0.5 else ("--alexander", alexander())
+        argv += option(*source)
+        if rng.random() < 0.3:
+            argv += option("--lk", token(num()))
+    if rng.random() < 0.03:
+        del argv[rng.randrange(1, len(argv))]
+    if rng.random() < 0.03:
+        argv.insert(rng.randrange(1, len(argv) + 1), "--bogus")
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    """Seeded argv over every family: each ends in exit 0, 1 or 2 with the
+    documented output, and no exception escapes ``main``."""
+
+    def test_every_argv_exits_cleanly(self, capsys):
+        rng = random.Random(0)
+        exits = {family: set() for family in FAMILIES}
+        for family in FAMILIES * 250:
+            argv = fuzz_argv(rng, family)
+            try:
+                code = main(argv)
+            except SystemExit as err:
+                code = err.code
+            except Exception as err:  # every escape is a failure of this test
+                pytest.fail(f"{argv}: {type(err).__name__}: {err}")
+            out, err = capsys.readouterr()
+            exits[family].add(code)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "", argv
+            elif "--json" in argv:
+                record = json.loads(out)
+                assert type(record) is dict and err == "", argv
+                if code == 1:
+                    assert record.keys() == {"error", "message"}, argv
+                    assert all(type(value) is str for value in record.values()), argv
+            elif code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            else:
+                assert out and err == "", argv
+        for family, codes in exits.items():
+            assert {0, 1} <= codes, family

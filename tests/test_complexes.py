@@ -170,6 +170,12 @@ class TestMontesinosKnotComplex:
         for good in ((2, 0, 0, 2), (2, 2, 0, 0), (0, 2, 2, 0), (0, 0, 2, 2)):
             assert montesinos_knot_complex(data, -6, good).ranks() is not None
         assert montesinos_knot_complex(data, -6, (2.0, "0", 0, True + True)).ranks() is not None
+        # so is a non-integral signature; an integral float grades as an int
+        with pytest.raises(ValueError, match="expected an integer, got -6.5"):
+            montesinos_knot_complex(data, -6.5, (2, 0, 0, 2))
+        gens = montesinos_knot_complex(data, -6.0, (2, 0, 0, 2))
+        assert gens.ranks().r == (2, 1, 2, 2)
+        assert [type(e["grading"]) for e in gens.entries] == [int] * len(gens.entries)
 
 
 class TestTorusComplex:
@@ -235,6 +241,33 @@ class TestMontesinosLinkComplex:
             montesinos_link_complex(data, 2)
         with pytest.raises(InconsistentLkError):
             montesinos_link_complex(data, 12)
+        # a non-integral linking number is refused, an integral float taken as an int
+        with pytest.raises(ValueError, match="expected an integer, got 4.5"):
+            montesinos_link_complex(data, 4.5)
+        result = montesinos_link_complex(SeifertData(((2, 1), (5, -2), (10, -1))), 4.0)
+        assert result.split == (2, 1) and result.ranks.r == (2, 4, 2, 4)
+        assert {type(x) for x in result.split + result.ranks.r} == {int}
+
+    def test_split_sweep(self, monkeypatch):
+        # every class count n and every lk around the admissible range: an lk
+        # either fixes one of the lk-free candidates with 4*(n1 - n3) = |lk|,
+        # n1 >= n3, or is refused; together the lk reach every candidate
+        for n in range(41):
+            monkeypatch.setattr(complexes, "enumerate_projective", lambda s, n=n: [None] * n)
+            free = montesinos_link_complex(None).candidates
+            reached = set()
+            for lk in range(-4 * n - 8, 4 * n + 9):
+                try:
+                    result = montesinos_link_complex(None, lk)
+                except InconsistentLkError:
+                    continue
+                (ranks,) = result.candidates
+                n1, n3 = result.split
+                assert ranks in free and ranks == result.ranks, (n, lk)
+                assert ranks.r == (2 * n3, 2 * n1, 2 * n3, 2 * n1), (n, lk)
+                assert n1 + n3 == n and n1 >= n3 and 4 * (n1 - n3) == abs(lk), (n, lk)
+                reached.add(ranks)
+            assert reached == set(free), n
 
     def test_requires_zero_euler_number(self):
         with pytest.raises(NotHomologyS1xS2Error):
@@ -309,6 +342,10 @@ class TestChainRanksType:
             ChainRanks((1, 0, 0, 0))._replace(r=(1,))
         with pytest.raises(ValueError, match="unknown anchoring"):
             ChainRanks._make([(1, 0, 0, 0), "diagonal", False])
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            ChainRanks((1.5, 0, 0, 0))
+        ranks = ChainRanks([2.0, 0, 0, True])
+        assert ranks.r == (2, 0, 0, 1) and {type(x) for x in ranks.r} == {int}
 
     def test_equality_and_hash(self):
         plain = ChainRanks((1, 0, 0, 0))

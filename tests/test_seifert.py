@@ -172,6 +172,16 @@ class TestCasson:
             assert casson(p, q, r) == brieskorn_casson(p, q, r), (p, q, r)
             checked += 1
         assert checked > 100
+        # a trivial multiplicity takes the general path: its fiber sweeps an
+        # empty range, and the Seifert data still describes a homology sphere
+        trivial = 0
+        for p, q, r in itertools.product(range(1, 30), repeat=3):
+            if 1 not in (p, q, r) or math.gcd(p, q) * math.gcd(p, r) * math.gcd(q, r) != 1:
+                continue
+            assert casson(p, q, r) == brieskorn_casson(p, q, r) == 0, (p, q, r)
+            assert seifert_h1_order(brieskorn_seifert_data(p, q, r)) == 1, (p, q, r)
+            trivial += 1
+        assert trivial == 1531
 
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
