@@ -2,17 +2,18 @@
 
 Subcommands mirror the supported families.  Every input takes one path:
 parse (a ``config`` file is rebuilt into argv and parsed again), then the
-family's handler, which builds the record with ``_record``.  Parsing uses
+handler that ``build_parser`` bound on the family's subparser, which builds
+the record with ``_record`` and echoes the subcommand name.  Parsing uses
 the process's one parser, built by the first ``build_parser`` call and
 shared by every later one; callers must not mutate it.  A parse hands argv
-straight to the parser of its subcommand ``argv[0]``, which ``build_parser``
-records as it adds it, instead of letting the top-level parser pick it; the
-full parser parses argv again only when an argument is left over or
-``argv[0]`` names no subcommand, so every usage error keeps argparse's own
-text and exit code 2.  A run prints a
-human-readable table or one JSON object with the stable fields input,
-generators, ranks, anchoring, conjectural, warnings (plus notes and
-extras), laid out as ``json.dumps(indent=2, sort_keys=True)`` would.
+straight to the parser of its subcommand ``argv[0]``, which
+``build_parser`` records as it adds it, instead of letting the top-level
+parser pick it; the full parser parses argv again only when an argument is
+left over or ``argv[0]`` names no subcommand, so every usage error keeps
+argparse's own text and exit code 2.  A run prints a human-readable table
+or one JSON object with the stable fields input, generators, ranks,
+anchoring, conjectural, warnings (plus notes and extras), laid out as
+``json.dumps(indent=2, sort_keys=True)`` would.
 ``regress`` replays the golden records of ``golden.jsonl`` through the
 same path, parses back the JSON it prints and diffs each whole record, and
 checks that text byte for byte against ``json.dumps``.
@@ -143,9 +144,8 @@ def _flat_rows(rows, newline: str) -> Optional[str]:
     `_JSON_SCALARS`: all ints as ``%d``; all strs as ``%s``, each distinct
     value escaped once; ints and Nones as ``%s`` of the int or ``null``.
     These three kinds cover every column a record holds.  Any other scalar
-    mix (bools, strs beside ints or Nones) is encoded by one C
-    ``json.dumps`` call of its own, which gives the same text for these
-    exact types and never a raw newline.
+    mix (bools, strs beside ints or Nones) goes in value by value as
+    ``%s`` of its `_JSON_SCALARS` text.
     """
     first = rows[0]
     if not first or {*map(type, rows)} != {dict}:
@@ -173,7 +173,7 @@ def _flat_rows(rows, newline: str) -> Optional[str]:
         elif kind <= {int, type(None)}:
             values[j::width] = map({None: "null"}.get, column, column)
         elif kind <= _JSON_SCALARS.keys():
-            values[j::width] = json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
+            values[j::width] = [_JSON_SCALARS[type(value)](value) for value in column]
         else:
             return None
         fields.append(field + "%s")
@@ -187,15 +187,19 @@ def _write_json(value, out: List[str], newline: str) -> None:
 
     Takes exactly the types a record holds (dict with str keys, list, tuple,
     str, int, bool, None); anything else, a float included, is a TypeError.
-    Strings go through the C escaper: with ``indent`` set, ``json.dumps``
-    runs CPython's pure-Python encoder, about twice as slow on records.
+    A scalar takes the `_JSON_SCALARS` text of its exact type, looked up
+    here only; strings go through the C escaper, since with ``indent`` set
+    ``json.dumps`` runs CPython's pure-Python encoder, about twice as slow.
     A list of same-shape flat rows, such as a record's generators, is
     written in one batch by `_flat_rows`.  Any other list (rows with another
     key set, an empty or nested value, a float, a subclass, a non-str key)
     declines to the item-by-item loop, which raises the TypeErrors.
     """
     kind = type(value)
-    if kind is dict:
+    encode = _JSON_SCALARS.get(kind)
+    if encode is not None:
+        out.append(encode(value))
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
@@ -204,13 +208,8 @@ def _write_json(value, out: List[str], newline: str) -> None:
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            item = value[key]
-            encode = _JSON_SCALARS.get(type(item))
-            if encode is None:
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                _write_json(item, out, inner)
-            else:
-                out.append(sep + encode_basestring_ascii(key) + ": " + encode(item))
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -224,19 +223,12 @@ def _write_json(value, out: List[str], newline: str) -> None:
             return
         sep = "[" + inner
         for item in value:
-            encode = _JSON_SCALARS.get(type(item))
-            if encode is None:
-                out.append(sep)
-                _write_json(item, out, inner)
-            else:
-                out.append(sep + encode(item))
+            out.append(sep)
+            _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
     else:
-        encode = _JSON_SCALARS.get(kind)
-        if encode is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        out.append(encode(value))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _print_record(record: Dict, as_json: bool) -> None:
@@ -267,7 +259,7 @@ def _cmd_two_bridge(args) -> Dict:
     gens = two_bridge_generators(args.p, args.q)
     ranks = gens.ranks()
     return _record(
-        {"command": "two-bridge", "p": args.p, "q": args.q},
+        {"command": args.command, "p": args.p, "q": args.q},
         generators=gens,
         ranks=ranks,
         notes=(
@@ -285,7 +277,7 @@ def _cmd_brieskorn(args) -> Dict:
     ranks = special_montesinos_complex(args.p, args.q, args.r)
     b = ranks.r[1]  # minus twice the Casson invariant
     return _record(
-        {"command": "brieskorn-knot", "p": args.p, "q": args.q, "r": args.r},
+        {"command": args.command, "p": args.p, "q": args.q, "r": args.r},
         ranks=ranks,
         extras={
             "casson": -b // 2,
@@ -306,7 +298,7 @@ def _cmd_montesinos_knot(args) -> Dict:
         extras["euler_characteristic"] = euler_characteristic(ranks)
     return _record(
         {
-            "command": "montesinos-knot",
+            "command": args.command,
             "pairs": list(map(list, data.pairs)),
             "signature": args.signature,
             "irreducible_block": block,
@@ -332,49 +324,45 @@ def _cmd_torus(args) -> Dict:
             f"--irreducible-block applies only to torus knots with an even "
             f"strand count above 2, got ({p}, {q})"
         )
+    echo = {"command": args.command, "p": args.p, "q": args.q}
     if p == 2:
         gens = two_bridge_generators(q, 1)
         ranks = gens.ranks()
         return _record(
-            {"command": "torus", "p": args.p, "q": args.q},
+            echo,
             generators=gens,
             ranks=ranks,
             notes=(f"routed through the two-bridge pair ({q}, 1)",),
             extras={"total_rank": ranks.total},
         )
-    if p % 2 == 0:
-        # the Seifert route below takes the odd strand count first
-        p, q = q, p
-    if q % 2 == 0:
-        data = torus_even_seifert_data(p, q)
-        sign = signatures.torus_signature(p, q)
-        gens = montesinos_knot_complex(data, sign, block)
-        ranks = gens.ranks()
-        extras = {"signature": sign}
-        if ranks:
-            extras["total_rank"] = ranks.total
+    if p * q % 2:
+        ranks = torus_complex(p, q)
+        sign = -4 * ranks.r[1]  # the ranks are (1 + a, a, a, a), a = -signature/4
         return _record(
-            {"command": "torus", "p": args.p, "q": args.q},
-            generators=gens,
+            echo,
             ranks=ranks,
-            warnings=gens.warnings,
-            notes=(
-                "even strand count: routed through the Seifert presentation "
-                f"{list(map(list, data.pairs))} of the double cover",
-            ),
-            extras=extras,
+            warnings=("rank vector is conjectural; only the total rank is certified",),
+            extras={"total_rank": ranks.total, "special_grading": sign % 4, "signature": sign},
         )
-    ranks = torus_complex(p, q)
-    sign = -4 * ranks.r[1]  # the ranks are (1 + a, a, a, a), a = -signature/4
+    # exactly one strand count is even; the Seifert route takes the odd one first
+    odd, even = (p, q) if q % 2 == 0 else (q, p)
+    data = torus_even_seifert_data(odd, even)
+    sign = signatures.torus_signature(odd, even)
+    gens = montesinos_knot_complex(data, sign, block)
+    ranks = gens.ranks()
+    extras = {"signature": sign}
+    if ranks:
+        extras["total_rank"] = ranks.total
     return _record(
-        {"command": "torus", "p": args.p, "q": args.q},
+        echo,
+        generators=gens,
         ranks=ranks,
-        warnings=("rank vector is conjectural; only the total rank is certified",),
-        extras={
-            "total_rank": ranks.total,
-            "special_grading": sign % 4,
-            "signature": sign,
-        },
+        warnings=gens.warnings,
+        notes=(
+            "even strand count: routed through the Seifert presentation "
+            f"{list(map(list, data.pairs))} of the double cover",
+        ),
+        extras=extras,
     )
 
 
@@ -411,7 +399,7 @@ def _cmd_montesinos_link(args) -> Dict:
             )
     return _record(
         {
-            "command": "montesinos-link",
+            "command": args.command,
             "pairs": list(map(list, data.pairs)),
             "lk": args.lk,
         },
@@ -424,7 +412,7 @@ def _cmd_montesinos_link(args) -> Dict:
 
 def _cmd_homology(args) -> Dict:
     extras: Dict = {}
-    echo: Dict = {"command": "homology"}
+    echo: Dict = {"command": args.command}
     if args.alexander is not None:
         order = branched_cover_h1(parse_alexander(args.alexander))
         echo["alexander"] = args.alexander
@@ -517,7 +505,7 @@ def _read_config(path: str) -> Dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            options[key.strip().replace("-", "_")] = value.strip()
+            options[key.strip().replace("_", "-")] = value.strip()
     return options
 
 
@@ -552,21 +540,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler=None, **kwargs) -> argparse.ArgumentParser:
         _SUBPARSERS[name] = subparser = sub.add_parser(name, **kwargs)
         subparser.register("action", None, _StoreOne)
+        subparser.set_defaults(handler=handler)
         return subparser
 
-    p = add("two-bridge", help="two-bridge knot of type -p/q")
+    p = add("two-bridge", _cmd_two_bridge, help="two-bridge knot of type -p/q")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
 
-    p = add("brieskorn-knot", help="Montesinos knot over a Brieskorn sphere")
+    p = add("brieskorn-knot", _cmd_brieskorn, help="Montesinos knot over a Brieskorn sphere")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
 
-    p = add("montesinos-knot", help="general three-fiber Montesinos knot")
+    p = add("montesinos-knot", _cmd_montesinos_knot, help="general three-fiber Montesinos knot")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
     p.add_argument("--signature", type=int, required=True, help="even knot signature")
     p.add_argument(
@@ -574,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
         help='external grading pin "g0,g1,g2,g3" for the irreducible generators',
     )
 
-    p = add("torus", help="torus knot")
+    p = add("torus", _cmd_torus, help="torus knot")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--irreducible-block", help="grading pin for the even-q route")
 
-    p = add("montesinos-link", help="two-component Montesinos link")
+    p = add("montesinos-link", _cmd_montesinos_link, help="two-component Montesinos link")
     p.add_argument("--pairs", required=True, help='Seifert pairs "a,b;a,b;a,b"')
     p.add_argument("--lk", type=int, help="linking number of the two components")
     p.add_argument(
@@ -587,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='surgery-knot Alexander polynomial "exp:coeff,..." for cross-validation',
     )
 
-    p = add("homology", help="double-branched-cover homology data")
+    p = add("homology", _cmd_homology, help="double-branched-cover homology data")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--alexander", help='branch-set Alexander polynomial "exp:coeff,..."')
     source.add_argument("--pairs", help="Seifert pairs of the cover")
@@ -604,16 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "regress":
             p.add_argument("--json", action="store_true", help="emit a JSON record")
     return parser
-
-
-_HANDLERS = {
-    "two-bridge": _cmd_two_bridge,
-    "brieskorn-knot": _cmd_brieskorn,
-    "montesinos-knot": _cmd_montesinos_knot,
-    "torus": _cmd_torus,
-    "montesinos-link": _cmd_montesinos_link,
-    "homology": _cmd_homology,
-}
 
 
 def _dispatch(argv: Optional[Sequence[str]]) -> argparse.Namespace:
@@ -656,7 +635,7 @@ def _parse(argv: Optional[Sequence[str]]):
             rebuilt.extend([f"-{key}", value])
         else:
             # the joined form keeps values with a leading dash intact
-            rebuilt.append("--" + key.replace("_", "-") + "=" + value)
+            rebuilt.append(f"--{key}={value}")
     if args.json:
         rebuilt.append("--json")
     return _dispatch(rebuilt)
@@ -665,7 +644,7 @@ def _parse(argv: Optional[Sequence[str]]):
 def _evaluate(args) -> Tuple[int, Dict]:
     """Exit code and record of a parsed family command; errors become a record."""
     try:
-        return 0, _HANDLERS[args.command](args)
+        return 0, args.handler(args)
     except (DomainError, ValueError) as err:
         return 1, {"error": type(err).__name__, "message": str(err)}
 

@@ -380,6 +380,40 @@ class TestOtherCommands:
             "message": f"torus parameters must be coprime and >= 2, got ({p}, {q})",
         }
 
+    def test_torus_route_follows_parity_in_either_order(self):
+        # every coprime 2 <= p < q <= 40: the route is the two-bridge pair
+        # iff p == 2, the conjectural odd route iff both counts are odd and
+        # the Seifert route otherwise, and only that route takes a pin
+        def same_in_either_order(p, q, *extra):
+            # the record --json prints; TestGolden and the writer tests pin its text
+            outcomes = []
+            for a, b in ((p, q), (q, p)):
+                code, record = cli._evaluate(cli._parse(["torus", str(a), str(b), *extra]))
+                if code == 0:
+                    assert record.pop("input") == {"command": "torus", "p": a, "q": b}
+                outcomes.append((code, record))
+            assert outcomes[0] == outcomes[1], (p, q, extra)
+            return outcomes[0]
+
+        refused = "--irreducible-block applies only to torus knots"
+        fitted = 0
+        for p in range(2, 41):
+            for q in range(p + 1, 41):
+                if math.gcd(p, q) != 1:
+                    continue
+                seifert = p > 2 and p * q % 2 == 0
+                code, record = same_in_either_order(p, q)
+                assert code == 0, (p, q)
+                notes = " ".join(record["notes"])
+                assert ("routed through the two-bridge pair" in notes) == (p == 2), (p, q)
+                assert record["conjectural"] == (p * q % 2 == 1), (p, q)
+                assert ("routed through the Seifert presentation" in notes) == seifert, (p, q)
+                code, record = same_in_either_order(p, q, "--irreducible-block", "2,0,0,2")
+                # a pin the route takes may still not fit its irreducible count
+                assert (code == 1 and record["message"].startswith(refused)) == (not seifert)
+                fitted += code == 0
+        assert fitted  # (3, 4) among others
+
     def test_homology_alexander(self, capsys):
         code, out, _ = run(
             capsys, "homology", "--alexander=-1:1,0:-1,1:1", "--json"
@@ -762,15 +796,16 @@ class TestWorkPerRecord:
         assert len(batches) == 1
 
     def test_generator_rows_written_in_one_batch(self, capsys, monkeypatch):
-        # the record, its input, generators, ranks, warnings, notes and extras;
-        # the item-by-item loop would add one call per generator row
+        # the record, its eight fields, the three of input, the four ranks,
+        # the one note and the two extras: one call per value, with the
+        # generator rows one value; a call per row would add 1001 at p = 1001
         calls = count_calls(monkeypatch, [(cli, "_write_json")])
         counts = []
         for p, q in (("5", "3"), ("1001", "376")):
             calls.clear()
             assert run(capsys, "two-bridge", "-p", p, "-q", q, "--json")[0] == 0
             counts.append(len(calls))
-        assert counts == [7, 7]
+        assert counts == [19, 19]
 
     def test_generator_rows_encode_only_their_mixed_columns(self, capsys, monkeypatch):
         # a record's row columns hold ints (grading, multiplicity), ints and
@@ -848,7 +883,10 @@ class TestConfigMode:
         assert "cannot read config file" in capsys.readouterr().err
 
 
-FAMILIES = tuple(cli._HANDLERS)
+# every subcommand that builds a record; TestHandlers checks it against the parser
+FAMILIES = (
+    "two-bridge", "brieskorn-knot", "montesinos-knot", "torus", "montesinos-link", "homology"
+)
 MALFORMED = ("x", "", "1.5", "2,", ";", "1:2:3", "--", "0x1f", " ")
 
 
@@ -935,6 +973,25 @@ def fuzz_argv(rng, family):
     if rng.random() < 0.5:
         argv.append("--json")
     return argv
+
+
+class TestHandlers:
+    """Each family's subparser carries the handler that builds its record."""
+
+    def test_exactly_the_families_carry_a_handler(self):
+        cli.build_parser()
+        handlers = {name: sub.get_default("handler") for name, sub in cli._SUBPARSERS.items()}
+        assert [name for name, handler in handlers.items() if handler] == list(FAMILIES)
+        assert handlers.keys() - {*FAMILIES} == {"regress", "config"}
+        assert handlers["regress"] is handlers["config"] is None
+        assert {argv[0] for argv in SAMPLE_COMMANDS} == {*FAMILIES}
+
+    @pytest.mark.parametrize("argv", SAMPLE_COMMANDS, ids=" ".join)
+    def test_record_echoes_the_command(self, argv):
+        # on the subparser route and on the full parser's
+        for args in (cli._parse(argv), cli.build_parser().parse_args(argv)):
+            code, record = cli._evaluate(args)
+            assert code == 0 and record["input"]["command"] == argv[0]
 
 
 class TestFuzz:
