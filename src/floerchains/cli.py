@@ -3,9 +3,11 @@
 Subcommands mirror the supported families.  Every input takes one path:
 parse (a ``config`` file is rebuilt into argv and parsed again), then the
 handler that ``build_parser`` bound on the family's subparser, which builds
-the record with ``_record`` and echoes the subcommand name.  Parsing uses
-the process's one parser, built by the first ``build_parser`` call and
-shared by every later one; callers must not mutate it.  A parse hands argv
+the record with ``_record``; its ``input`` echoes every parsed argument by
+one rule (``_echo``).  A routed torus knot gets the record of the family
+it is routed to, two-bridge or Montesinos knot, from the same function.
+Parsing uses the process's one parser, built by the first ``build_parser``
+call and shared by every later one; callers must not mutate it.  A parse hands argv
 straight to the parser of its subcommand ``argv[0]``, which
 ``build_parser`` records as it adds it, instead of letting the top-level
 parser pick it; the full parser parses argv again only when an argument is
@@ -255,29 +257,65 @@ def _print_record(record: Dict, as_json: bool) -> None:
         print(f"note: {n}")
 
 
-def _cmd_two_bridge(args) -> Dict:
-    gens = two_bridge_generators(args.p, args.q)
+def _echo(args, pairs: Optional[SeifertData] = None, block: Optional[List[int]] = None) -> Dict:
+    """A record's `input`: each argument the command's parser defines, as `args`
+    holds it by dest (None if not given), without `handler` and `json`; the
+    handler passes `--pairs` and `--irreducible-block` as it parsed them."""
+    echo = {key: value for key, value in vars(args).items() if key not in ("handler", "json")}
+    if pairs is not None:
+        echo["pairs"] = list(map(list, pairs.pairs))
+    if block is not None:
+        echo["irreducible_block"] = block
+    return echo
+
+
+def _two_bridge_record(echo: Dict, p: int, q: int, notes: Sequence[str] = ()) -> Dict:
+    """The record of the two-bridge knot (p, q), with `notes` after its own."""
+    gens = two_bridge_generators(p, q)
     ranks = gens.ranks()
     return _record(
-        {"command": args.command, "p": args.p, "q": args.q},
+        echo,
         generators=gens,
         ranks=ranks,
         notes=(
             "differential vanishes for two-bridge knots; chain ranks equal "
             "homology ranks",
+            *notes,
         ),
-        extras={
-            "euler_characteristic": euler_characteristic(ranks),
-            "total_rank": ranks.total,
-        },
+        extras={"euler_characteristic": euler_characteristic(ranks), "total_rank": ranks.total},
     )
+
+
+def _montesinos_knot_record(
+    echo: Dict,
+    data: SeifertData,
+    sign: int,
+    block: Optional[List[int]],
+    notes: Sequence[str] = (),
+    extras: Optional[Dict] = None,
+) -> Dict:
+    """The record of the Montesinos knot whose double cover has Seifert data
+    `data` and whose signature is `sign`, with `notes` and `extras` added."""
+    gens = montesinos_knot_complex(data, sign, block)
+    ranks = gens.ranks()
+    extras = {"h1_order": covers.seifert_h1_order(data), **(extras or {})}
+    if ranks:
+        extras["total_rank"] = ranks.total
+        extras["euler_characteristic"] = euler_characteristic(ranks)
+    return _record(
+        echo, generators=gens, ranks=ranks, warnings=gens.warnings, notes=notes, extras=extras
+    )
+
+
+def _cmd_two_bridge(args) -> Dict:
+    return _two_bridge_record(_echo(args), args.p, args.q)
 
 
 def _cmd_brieskorn(args) -> Dict:
     ranks = special_montesinos_complex(args.p, args.q, args.r)
     b = ranks.r[1]  # minus twice the Casson invariant
     return _record(
-        {"command": args.command, "p": args.p, "q": args.q, "r": args.r},
+        _echo(args),
         ranks=ranks,
         extras={
             "casson": -b // 2,
@@ -290,24 +328,7 @@ def _cmd_brieskorn(args) -> Dict:
 def _cmd_montesinos_knot(args) -> Dict:
     data = parse_pairs(args.pairs)
     block = None if args.irreducible_block is None else parse_block(args.irreducible_block)
-    gens = montesinos_knot_complex(data, args.signature, block)
-    ranks = gens.ranks()
-    extras = {"h1_order": covers.seifert_h1_order(data)}
-    if ranks:
-        extras["total_rank"] = ranks.total
-        extras["euler_characteristic"] = euler_characteristic(ranks)
-    return _record(
-        {
-            "command": args.command,
-            "pairs": list(map(list, data.pairs)),
-            "signature": args.signature,
-            "irreducible_block": block,
-        },
-        generators=gens,
-        ranks=ranks,
-        warnings=gens.warnings,
-        extras=extras,
-    )
+    return _montesinos_knot_record(_echo(args, data, block), data, args.signature, block)
 
 
 def _cmd_torus(args) -> Dict:
@@ -324,17 +345,9 @@ def _cmd_torus(args) -> Dict:
             f"--irreducible-block applies only to torus knots with an even "
             f"strand count above 2, got ({p}, {q})"
         )
-    echo = {"command": args.command, "p": args.p, "q": args.q}
+    echo = _echo(args, block=block)
     if p == 2:
-        gens = two_bridge_generators(q, 1)
-        ranks = gens.ranks()
-        return _record(
-            echo,
-            generators=gens,
-            ranks=ranks,
-            notes=(f"routed through the two-bridge pair ({q}, 1)",),
-            extras={"total_rank": ranks.total},
-        )
+        return _two_bridge_record(echo, q, 1, (f"routed through the two-bridge pair ({q}, 1)",))
     if p * q % 2:
         ranks = torus_complex(p, q)
         sign = -4 * ranks.r[1]  # the ranks are (1 + a, a, a, a), a = -signature/4
@@ -348,22 +361,11 @@ def _cmd_torus(args) -> Dict:
     odd, even = (p, q) if q % 2 == 0 else (q, p)
     data = torus_even_seifert_data(odd, even)
     sign = signatures.torus_signature(odd, even)
-    gens = montesinos_knot_complex(data, sign, block)
-    ranks = gens.ranks()
-    extras = {"signature": sign}
-    if ranks:
-        extras["total_rank"] = ranks.total
-    return _record(
-        echo,
-        generators=gens,
-        ranks=ranks,
-        warnings=gens.warnings,
-        notes=(
-            "even strand count: routed through the Seifert presentation "
-            f"{list(map(list, data.pairs))} of the double cover",
-        ),
-        extras=extras,
+    notes = (
+        "even strand count: routed through the Seifert presentation "
+        f"{list(map(list, data.pairs))} of the double cover",
     )
+    return _montesinos_knot_record(echo, data, sign, block, notes, {"signature": sign})
 
 
 def _cmd_montesinos_link(args) -> Dict:
@@ -376,8 +378,6 @@ def _cmd_montesinos_link(args) -> Dict:
         "su2_classes": result.su2_classes,
         "total_rank": result.total,
     }
-    if result.split:
-        extras["split"] = list(result.split)
     if args.alexander is not None:
         lam = casson_from_alexander(parse_alexander(args.alexander))
         extras["casson_from_alexander"] = lam
@@ -387,23 +387,19 @@ def _cmd_montesinos_link(args) -> Dict:
             )
         else:
             notes.append("class count cross-validated against the surgery-knot route")
-    ranks = result.ranks
-    if result.split is None:
-        extras["candidates"] = [list(c.r) for c in result.candidates]
-    else:
-        extras["euler_characteristic"] = f"+-{abs(euler_characteristic(ranks))}"
+    if result.split:
+        extras["split"] = list(result.split)
+        extras["euler_characteristic"] = f"+-{abs(euler_characteristic(result.ranks))}"
         if 0 in result.split:
             notes.append(
                 "generators sit in two gradings of equal parity; the "
                 "differential vanishes and chain ranks equal homology ranks"
             )
+    else:
+        extras["candidates"] = [list(c.r) for c in result.candidates]
     return _record(
-        {
-            "command": args.command,
-            "pairs": list(map(list, data.pairs)),
-            "lk": args.lk,
-        },
-        ranks=ranks,
+        _echo(args, pairs=data),
+        ranks=result.ranks,
         warnings=warnings,
         notes=notes,
         extras=extras,
@@ -411,23 +407,17 @@ def _cmd_montesinos_link(args) -> Dict:
 
 
 def _cmd_homology(args) -> Dict:
-    extras: Dict = {}
-    echo: Dict = {"command": args.command}
-    if args.alexander is not None:
+    data = None if args.pairs is None else parse_pairs(args.pairs)
+    if data is None:
         order = branched_cover_h1(parse_alexander(args.alexander))
-        echo["alexander"] = args.alexander
     else:
-        data = parse_pairs(args.pairs)
         order = covers.seifert_h1_order(data)
-        echo["pairs"] = list(map(list, data.pairs))
     # an order of 0 encodes the infinite H1 of a cover with b1 = 1
-    extras["b1"] = 1 if order == 0 else 0
-    extras["h1_order"] = "infinite" if order == 0 else order
+    extras = {"b1": 1 if order == 0 else 0, "h1_order": "infinite" if order == 0 else order}
     if args.lk is not None:
-        echo["lk"] = args.lk
         extras["cup_form"] = cup_form(args.lk)
         extras["grading_shift"] = grading_shift_delta(args.lk)
-    return _record(echo, extras=extras)
+    return _record(_echo(args, pairs=data), extras=extras)
 
 
 def _golden_cases() -> List[Dict]:

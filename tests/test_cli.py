@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -387,10 +388,12 @@ class TestOtherCommands:
         def same_in_either_order(p, q, *extra):
             # the record --json prints; TestGolden and the writer tests pin its text
             outcomes = []
+            block = [2, 0, 0, 2] if extra else None
             for a, b in ((p, q), (q, p)):
                 code, record = cli._evaluate(cli._parse(["torus", str(a), str(b), *extra]))
                 if code == 0:
-                    assert record.pop("input") == {"command": "torus", "p": a, "q": b}
+                    echo = {"command": "torus", "p": a, "q": b, "irreducible_block": block}
+                    assert record.pop("input") == echo
                 outcomes.append((code, record))
             assert outcomes[0] == outcomes[1], (p, q, extra)
             return outcomes[0]
@@ -412,6 +415,53 @@ class TestOtherCommands:
                 # a pin the route takes may still not fit its irreducible count
                 assert (code == 1 and record["message"].startswith(refused)) == (not seifert)
                 fitted += code == 0
+        assert fitted  # (3, 4) among others
+
+    def test_routed_torus_record_is_the_routed_family_record(self):
+        # every coprime 2 <= p < q <= 40 off the odd route: T(2, q) is the
+        # two-bridge record of (q, 1), and an even-strand torus knot is the
+        # montesinos-knot record of the Seifert data its note prints, at its
+        # signature; only the input, the routed note and the signature extra
+        # tell them apart, also under a pin and in the error a pin can raise
+        seifert_note = re.compile(
+            r"even strand count: routed through the Seifert presentation "
+            r"(\[.*\]) of the double cover"
+        )
+
+        def outcome(argv):
+            code, record = cli._evaluate(cli._parse(argv))
+            if code == 0:
+                record.pop("input")
+            return code, record
+
+        fitted = 0
+        for p in range(2, 41):
+            for q in range(p + 1, 41):
+                if math.gcd(p, q) != 1 or p * q % 2:
+                    continue
+                code, torus = outcome(["torus", str(p), str(q)])
+                assert code == 0, (p, q)
+                note = torus["notes"].pop()
+                if p == 2:
+                    assert note == f"routed through the two-bridge pair ({q}, 1)"
+                    assert (0, torus) == outcome(["two-bridge", "-p", str(q), "-q", "1"]), q
+                    continue
+                pairs = json.loads(seifert_note.fullmatch(note)[1])
+                sigma = torus["extras"].pop("signature")
+                assert sigma == torus_signature(p, q)
+                knot = [
+                    "montesinos-knot",
+                    "--pairs=" + ";".join(f"{a},{b}" for a, b in pairs),
+                    f"--signature={sigma}",
+                ]
+                assert (0, torus) == outcome(knot), (p, q)
+                pin = ["--irreducible-block=2,0,0,2"]
+                code, pinned = outcome(["torus", str(p), str(q), *pin])
+                if code == 0:
+                    assert pinned["notes"].pop() == note
+                    assert pinned["extras"].pop("signature") == sigma
+                    fitted += 1
+                assert (code, pinned) == outcome(knot + pin), (p, q)
         assert fitted  # (3, 4) among others
 
     def test_homology_alexander(self, capsys):
@@ -467,6 +517,21 @@ SAMPLE_COMMANDS = [
     ["homology", "--alexander=-1:1,0:-1,1:1"],
     ["homology", "--pairs", "2,1;3,-1;6,-1", "--lk", "4"],
 ]
+
+
+
+def config_text(argv):
+    """The config-file form of a family argv: one `key = value` line per argument."""
+    lines = [f"command = {argv[0]}"]
+    positional = iter("pqr")
+    rest = iter(argv[1:])
+    for token in rest:
+        if token.startswith("-"):
+            key, joined, value = token.lstrip("-").partition("=")
+            lines.append(f"{key} = {value if joined else next(rest)}")
+        else:
+            lines.append(f"{next(positional)} = {token}")
+    return "\n".join(lines) + "\n"
 
 
 class TestEveryCommand:
@@ -636,7 +701,9 @@ class TestDispatch:
         calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "parse_args")])
         code, out, _ = run(capsys, "config", str(cfg), "--json")
         assert code == 0 and calls == []
-        assert json.loads(out)["input"] == {"command": "torus", "p": 3, "q": 4}
+        assert json.loads(out)["input"] == {
+            "command": "torus", "p": 3, "q": 4, "irreducible_block": [2, 0, 0, 2]
+        }
 
     def test_leftover_argument_falls_back(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "parse_args")])
@@ -992,6 +1059,41 @@ class TestHandlers:
         for args in (cli._parse(argv), cli.build_parser().parse_args(argv)):
             code, record = cli._evaluate(args)
             assert code == 0 and record["input"]["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", SAMPLE_COMMANDS, ids=" ".join)
+    def test_input_echoes_every_parsed_argument(self, tmp_path, argv):
+        # one rule for every family, on argv and on its config-file form: the
+        # echo holds each dest the subparser defines, as parsed, apart from
+        # handler and json; --pairs and --irreducible-block in parsed form
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(config_text(argv))
+        records = []
+        for args in (cli._parse(argv), cli._parse(["config", str(cfg)])):
+            parsed = vars(args)
+            dests = {action.dest for action in cli._SUBPARSERS[argv[0]]._actions}
+            assert parsed.keys() - {"handler", "json"} == dests - {"help", "json"} | {"command"}
+            code, record = cli._evaluate(args)
+            assert code == 0
+            assert record["input"].keys() == parsed.keys() - {"handler", "json"}
+            for key, value in record["input"].items():
+                text = parsed[key]
+                if text is not None and key == "pairs":
+                    text = [list(pair) for pair in parse_pairs(text).pairs]
+                elif text is not None and key == "irreducible_block":
+                    text = cli.parse_block(text)
+                assert value == text, key
+            records.append(record)
+        assert records[0] == records[1]
+
+    def test_torus_echo_tells_a_pin_apart(self):
+        echoes = [
+            cli._evaluate(cli._parse(["torus", "3", "4", *pin]))[1]["input"]
+            for pin in ((), ("--irreducible-block", "2,0,0,2"))
+        ]
+        assert echoes == [
+            {"command": "torus", "p": 3, "q": 4, "irreducible_block": None},
+            {"command": "torus", "p": 3, "q": 4, "irreducible_block": [2, 0, 0, 2]},
+        ]
 
 
 class TestFuzz:
