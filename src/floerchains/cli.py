@@ -4,8 +4,11 @@ Subcommands mirror the supported families.  Every input takes one path:
 parse (a ``config`` file is rebuilt into argv and parsed again), then the
 handler that ``build_parser`` bound on the family's subparser, which builds
 the record with ``_record``; its ``input`` echoes every parsed argument by
-one rule (``_echo``).  A routed torus knot gets the record of the family
-it is routed to, two-bridge or Montesinos knot, from the same function.
+one rule (``_echo``), and ``_record`` alone writes its rank facts: the
+ranks and leading warnings of its generators, the total rank and Euler
+number of any rank vector, and the warning of a conjectural one.  A routed
+torus knot gets the record of the family it is routed to, two-bridge or
+Montesinos knot, from the same function.
 Parsing uses the process's one parser, built by the first ``build_parser``
 call and shared by every later one; callers must not mutate it.  A parse hands argv
 straight to the parser of its subcommand ``argv[0]``, which
@@ -39,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import covers, signatures
 from .complexes import (
+    ABSOLUTE,
     ChainRanks,
     GradedGenerators,
     euler_characteristic,
@@ -107,7 +111,21 @@ def _record(
     notes: Sequence[str] = (),
     extras: Optional[Dict] = None,
 ) -> Dict:
-    record = {
+    """A record; given `generators`, its ranks are theirs and their warnings
+    come first.  A rank vector adds `total_rank` and `euler_characteristic`
+    (``"+-|chi|"`` under cyclic anchoring) after `extras`, and a conjectural
+    one its warning."""
+    extras = dict(extras or {})
+    if generators is not None:
+        ranks = generators.ranks()
+        warnings = (*generators.warnings, *warnings)
+    if ranks is not None:
+        chi = euler_characteristic(ranks)
+        extras["total_rank"] = ranks.total
+        extras["euler_characteristic"] = chi if ranks.anchoring == ABSOLUTE else f"+-{abs(chi)}"
+        if ranks.conjectural:
+            warnings = (*warnings, "rank vector is conjectural; only the total rank is certified")
+    return {
         "input": input_echo,
         "generators": list(generators.entries) if generators else [],
         "ranks": list(ranks.r) if ranks else None,
@@ -115,16 +133,8 @@ def _record(
         "conjectural": bool(ranks.conjectural) if ranks else False,
         "warnings": list(warnings),
         "notes": list(notes),
-        "extras": extras or {},
+        "extras": extras,
     }
-    if (
-        ranks is not None
-        and generators is not None
-        and ranks.total != generators.total
-        and not generators.unknown
-    ):
-        raise ArithmeticError(f"ranks {ranks.r} do not sum to the {generators.total} generators")
-    return record
 
 
 # JSON text of each scalar type, by exact type
@@ -271,18 +281,14 @@ def _echo(args, pairs: Optional[SeifertData] = None, block: Optional[List[int]] 
 
 def _two_bridge_record(echo: Dict, p: int, q: int, notes: Sequence[str] = ()) -> Dict:
     """The record of the two-bridge knot (p, q), with `notes` after its own."""
-    gens = two_bridge_generators(p, q)
-    ranks = gens.ranks()
     return _record(
         echo,
-        generators=gens,
-        ranks=ranks,
+        generators=two_bridge_generators(p, q),
         notes=(
             "differential vanishes for two-bridge knots; chain ranks equal "
             "homology ranks",
             *notes,
         ),
-        extras={"euler_characteristic": euler_characteristic(ranks), "total_rank": ranks.total},
     )
 
 
@@ -296,14 +302,11 @@ def _montesinos_knot_record(
 ) -> Dict:
     """The record of the Montesinos knot whose double cover has Seifert data
     `data` and whose signature is `sign`, with `notes` and `extras` added."""
-    gens = montesinos_knot_complex(data, sign, block)
-    ranks = gens.ranks()
-    extras = {"h1_order": covers.seifert_h1_order(data), **(extras or {})}
-    if ranks:
-        extras["total_rank"] = ranks.total
-        extras["euler_characteristic"] = euler_characteristic(ranks)
     return _record(
-        echo, generators=gens, ranks=ranks, warnings=gens.warnings, notes=notes, extras=extras
+        echo,
+        generators=montesinos_knot_complex(data, sign, block),
+        notes=notes,
+        extras={"h1_order": covers.seifert_h1_order(data), **(extras or {})},
     )
 
 
@@ -314,15 +317,7 @@ def _cmd_two_bridge(args) -> Dict:
 def _cmd_brieskorn(args) -> Dict:
     ranks = special_montesinos_complex(args.p, args.q, args.r)
     b = ranks.r[1]  # minus twice the Casson invariant
-    return _record(
-        _echo(args),
-        ranks=ranks,
-        extras={
-            "casson": -b // 2,
-            "irreducible_classes": b,
-            "total_rank": ranks.total,
-        },
-    )
+    return _record(_echo(args), ranks=ranks, extras={"casson": -b // 2, "irreducible_classes": b})
 
 
 def _cmd_montesinos_knot(args) -> Dict:
@@ -351,12 +346,7 @@ def _cmd_torus(args) -> Dict:
     if p * q % 2:
         ranks = torus_complex(p, q)
         sign = -4 * ranks.r[1]  # the ranks are (1 + a, a, a, a), a = -signature/4
-        return _record(
-            echo,
-            ranks=ranks,
-            warnings=("rank vector is conjectural; only the total rank is certified",),
-            extras={"total_rank": ranks.total, "special_grading": sign % 4, "signature": sign},
-        )
+        return _record(echo, ranks=ranks, extras={"special_grading": sign % 4, "signature": sign})
     # exactly one strand count is even; the Seifert route takes the odd one first
     odd, even = (p, q) if q % 2 == 0 else (q, p)
     data = torus_even_seifert_data(odd, even)
@@ -373,11 +363,7 @@ def _cmd_montesinos_link(args) -> Dict:
     result = montesinos_link_complex(data, args.lk)
     warnings = list(result.warnings)
     notes = list(result.notes)
-    extras = {
-        "so3_classes": result.so3_classes,
-        "su2_classes": result.su2_classes,
-        "total_rank": result.total,
-    }
+    extras = {"so3_classes": result.so3_classes, "su2_classes": result.su2_classes}
     if args.alexander is not None:
         lam = casson_from_alexander(parse_alexander(args.alexander))
         extras["casson_from_alexander"] = lam
@@ -389,14 +375,15 @@ def _cmd_montesinos_link(args) -> Dict:
             notes.append("class count cross-validated against the surgery-knot route")
     if result.split:
         extras["split"] = list(result.split)
-        extras["euler_characteristic"] = f"+-{abs(euler_characteristic(result.ranks))}"
         if 0 in result.split:
             notes.append(
                 "generators sit in two gradings of equal parity; the "
                 "differential vanishes and chain ranks equal homology ranks"
             )
     else:
+        # no rank vector, so `_record` writes no total
         extras["candidates"] = [list(c.r) for c in result.candidates]
+        extras["total_rank"] = result.total
     return _record(
         _echo(args, pairs=data),
         ranks=result.ranks,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse, second_derivative_at_one
@@ -76,14 +75,6 @@ class GradedGenerators(NamedTuple):
 
     entries: Tuple[Dict, ...]
     warnings: Tuple[str, ...] = ()
-
-    @property
-    def total(self) -> int:
-        return sum(map(itemgetter("multiplicity"), self.entries))
-
-    @property
-    def unknown(self) -> int:
-        return sum(e["multiplicity"] for e in self.entries if e["grading"] is None)
 
     def ranks(self) -> Optional[ChainRanks]:
         """Rank vector when every grading is known, else None."""

@@ -6,30 +6,43 @@ Each tree's ``floerchains.cli.main`` runs every argv of one fixed set, in
 process, in one child interpreter per tree (``python -O`` with ``-O``).
 The script prints each argv whose exit code, stdout or stderr differ,
 naming which of them differ; where both stdouts are JSON objects it adds
-whether the new one only adds keys or list items to the old one.  A last
-line counts the differing argv, and the exit status is 1 if there is any.
+whether the new one only adds keys or list items to the old one, and
+otherwise the first stdout line that differs.  A last line counts the
+differing argv, and the exit status is 1 if there is any.
 
 The argv set, each argv once:
-- the golden argv of both trees, with and without ``--json``;
+- the golden argv of both trees;
+- ``INPUT_ERRORS``, ``SEIFERT_ERRORS``, ``SAMPLE_COMMANDS``,
+  ``USAGE_PROBES`` and ``VALID_ARGV`` of ``tests/test_cli.py``;
+- the ``config`` form of each ``SAMPLE_COMMANDS`` argv, written by
+  ``config_text`` of ``tests/test_cli.py`` to a temporary file;
+- each argv above again with ``--json``;
 - seeds 0 and 1 of the four perfbench workloads and perfbench's
   ``known_defects()`` (``perfbench/workloads.py`` is only imported);
-- ``INPUT_ERRORS`` of ``tests/test_cli.py``, with and without ``--json``;
+- 300 ``fuzz_argv`` draws per family of ``tests/test_cli.py``, from
+  ``random.Random(0)``;
 - ``regress``.
 
-The file name does not match pytest's ``test_*.py``, so pytest does not
-collect it.
+The names it takes from ``tests/test_cli.py`` are run from that file's
+source without importing it, so neither pytest nor the package is
+imported here; a name the file no longer defines is an error.  The file
+name does not match pytest's ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
+import math
+import random
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import List
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,36 +63,64 @@ for argv in json.load(sys.stdin):
     print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
+# what argv_set takes from tests/test_cli.py, with the names those use, in file order
+TEST_NAMES = (
+    "INPUT_ERRORS", "FIBERS", "SEIFERT_ERRORS", "SAMPLE_COMMANDS", "config_text",
+    "USAGE_PROBES", "VALID_ARGV", "FAMILIES", "MALFORMED", "fuzz_argv",
+)
+
 
 def _golden_argv(src: Path) -> List[List[str]]:
     lines = (src / "floerchains" / "golden.jsonl").read_text(encoding="utf-8").splitlines()
     return [json.loads(line)["argv"] for line in lines if line.strip()]
 
 
-def _input_errors() -> List[List[str]]:
-    """INPUT_ERRORS of tests/test_cli.py, read without importing the test module."""
+def _test_names(golden: List[List[str]]) -> Dict:
+    """The TEST_NAMES of tests/test_cli.py, run from its source with the
+    argv `golden` as its golden cases."""
     path = ROOT / "tests" / "test_cli.py"
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "INPUT_ERRORS":
-            return ast.literal_eval(node.value)
-    raise LookupError(f"no INPUT_ERRORS in {path}")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree.body = [
+        node for node in tree.body
+        if getattr(node, "name", None) in TEST_NAMES
+        or isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in TEST_NAMES
+    ]
+    names = {"math": math, "random": random, "GOLDEN": [{"argv": argv} for argv in golden]}
+    exec(compile(tree, str(path), "exec"), names)
+    missing = [name for name in TEST_NAMES if name not in names]
+    if missing:
+        raise LookupError(f"no {', '.join(missing)} in {path}")
+    return names
 
 
-def argv_set(old_src: Path, new_src: Path) -> List[List[str]]:
+def argv_set(old_src: Path, new_src: Path, config_dir: Path) -> List[List[str]]:
+    """The argv set; the config files its `config` argv read go to `config_dir`."""
     # perfbench's own oracles module, not tests/oracles.py
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     golden = _golden_argv(old_src) + _golden_argv(new_src)
-    errors = _input_errors()
-    every = [
+    tests = _test_names(golden)
+    listed = [
         *golden,
-        *(argv + ["--json"] for argv in golden),
+        *tests["INPUT_ERRORS"],
+        *(argv for argv, _, _ in tests["SEIFERT_ERRORS"]),
+        *tests["SAMPLE_COMMANDS"],
+        *tests["USAGE_PROBES"],
+        *tests["VALID_ARGV"],
+    ]
+    for i, argv in enumerate(tests["SAMPLE_COMMANDS"]):
+        path = config_dir / f"sample-{i}.cfg"
+        path.write_text(tests["config_text"](argv), encoding="utf-8")
+        listed.append(["config", str(path)])
+    rng = random.Random(0)
+    every = [
+        *listed,
+        *(argv + ["--json"] for argv in listed),
         *(argv for make in workloads.WORKLOADS.values() for seed in (0, 1)
           for argv, _ in make(seed)),
         *(argv for argv, _ in workloads.known_defects()),
-        *errors,
-        *(argv + ["--json"] for argv in errors),
+        *(tests["fuzz_argv"](rng, family) for family in tests["FAMILIES"] * 300),
         ["regress"],
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, every))]
@@ -93,6 +134,15 @@ def only_adds(old, new) -> bool:
         rest = iter(new)
         return all(any(only_adds(item, other) for other in rest) for item in old)
     return old == new
+
+
+def first_line_diff(old: str, new: str) -> str:
+    """The first line at which two texts differ, None standing for a missing line."""
+    pairs = itertools.zip_longest(old.splitlines(), new.splitlines())
+    for number, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return f"line {number}: {a!r} -> {b!r}"
+    return "line endings"
 
 
 def _start(src: Path, optimize: bool, argvs: List[List[str]]) -> subprocess.Popen:
@@ -115,26 +165,31 @@ def main() -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("-O", dest="optimize", action="store_true", help="run under python -O")
     args = parser.parse_args()
-    argvs = argv_set(args.old_src, args.new_src)
-    old = _start(args.old_src, args.optimize, argvs)
-    new = _start(args.new_src, args.optimize, argvs)
     differing = 0
-    for argv, before, after in zip(argvs, old.stdout, new.stdout):
-        before, after = json.loads(before), json.loads(after)
-        if before == after:
-            continue
-        differing += 1
-        fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), before, after) if a != b]
-        line = f"{shlex.join(argv)}: {', '.join(fields)} differ"
-        try:
-            records = json.loads(before[1]), json.loads(after[1])
-        except ValueError:
-            records = None
-        if records and all(type(record) is dict for record in records):
-            line += "; JSON only adds" if only_adds(*records) else "; JSON changes"
-        print(line)
-    if old.wait() or new.wait():
-        raise SystemExit(f"a child failed: exit {old.returncode} and {new.returncode}")
+    with tempfile.TemporaryDirectory() as config_dir:
+        argvs = argv_set(args.old_src, args.new_src, Path(config_dir))
+        old = _start(args.old_src, args.optimize, argvs)
+        new = _start(args.new_src, args.optimize, argvs)
+        for argv, before, after in zip(argvs, old.stdout, new.stdout):
+            before, after = json.loads(before), json.loads(after)
+            if before == after:
+                continue
+            differing += 1
+            fields = [
+                name for name, a, b in zip(("exit", "stdout", "stderr"), before, after) if a != b
+            ]
+            line = f"{shlex.join(argv)}: {', '.join(fields)} differ"
+            try:
+                records = json.loads(before[1]), json.loads(after[1])
+            except ValueError:
+                records = None
+            if records and all(type(record) is dict for record in records):
+                line += "; JSON only adds" if only_adds(*records) else "; JSON changes"
+            elif before[1] != after[1]:
+                line += "; first stdout " + first_line_diff(before[1], after[1])
+            print(line)
+        if old.wait() or new.wait():
+            raise SystemExit(f"a child failed: exit {old.returncode} and {new.returncode}")
     print(f"{differing} of {len(argvs)} argv differ")
     return 1 if differing else 0
 

@@ -15,7 +15,7 @@ import pytest
 import floerchains
 from floerchains import arith, cli, complexes, covers, lens, seifert, signatures
 from floerchains.cli import _record, main, parse_alexander, parse_pairs
-from floerchains.complexes import ChainRanks, GradedGenerators, _row, two_bridge_generators
+from floerchains.complexes import GradedGenerators, _row, two_bridge_generators
 from floerchains.signatures import torus_signature
 
 GOLDEN = cli._golden_cases()
@@ -69,6 +69,7 @@ INPUT_ERRORS = [
     ["homology", "--alexander=1:x"],
     ["homology", "--pairs", "2,1;3"],
 ]
+CONJECTURAL = "rank vector is conjectural; only the total rank is certified"
 PAIRS_GRAMMAR = "--pairs takes integer pairs a,b;a,b;..."
 ALEXANDER_GRAMMAR = "--alexander takes integer terms exp:coeff,..."
 BLOCK_GRAMMAR = "--irreducible-block takes four integers g0,g1,g2,g3"
@@ -464,6 +465,34 @@ class TestOtherCommands:
                 assert (code, pinned) == outcome(knot + pin), (p, q)
         assert fitted  # (3, 4) among others
 
+    def test_every_knot_with_ranks_has_euler_number_one(self):
+        # a knot's chain complex has Euler number 1 on every route: each
+        # pairwise coprime Brieskorn triple 2 <= p < q < r < 30 and each
+        # coprime torus pair 2 <= p < q <= 40 in both orders
+        argvs = [
+            ["brieskorn-knot", str(p), str(q), str(r)]
+            for p in range(2, 30)
+            for q in range(p + 1, 30)
+            for r in range(q + 1, 30)
+            if math.gcd(p, q) == math.gcd(p, r) == math.gcd(q, r) == 1
+        ]
+        argvs += [
+            ["torus", str(a), str(b)]
+            for p in range(2, 41)
+            for q in range(p + 1, 41)
+            if math.gcd(p, q) == 1
+            for a, b in ((p, q), (q, p))
+        ]
+        ranked = 0
+        for argv in argvs:
+            code, record = cli._evaluate(cli._parse(argv))
+            assert code == 0, argv
+            if record["ranks"] is not None:
+                ranked += 1
+                assert record["extras"].get("euler_characteristic") == 1, argv
+                assert_rank_facts(record, argv)
+        assert ranked > len(argvs) // 2
+
     def test_homology_alexander(self, capsys):
         code, out, _ = run(
             capsys, "homology", "--alexander=-1:1,0:-1,1:1", "--json"
@@ -552,15 +581,20 @@ class TestEveryCommand:
 
 
 class TestRecord:
-    def test_rejects_ranks_that_miss_generators(self):
-        gens = GradedGenerators((_row(0, 1, "special"),))
-        with pytest.raises(ArithmeticError):
-            _record({}, generators=gens, ranks=ChainRanks((1, 1, 0, 0)))
-
-    def test_unknown_gradings_skip_the_total_check(self):
-        gens = GradedGenerators((_row(0, 1, "special"), _row(None, 2, "reducible", 1)))
-        record = _record({}, generators=gens, ranks=ChainRanks((1, 1, 0, 0)))
-        assert record["ranks"] == [1, 1, 0, 0]
+    def test_ranks_and_warnings_come_from_the_generators(self):
+        # an unknown grading leaves no rank vector, hence no summary extra
+        rows = (_row(0, 1, "special"), _row(None, 2, "reducible", 1))
+        gens = GradedGenerators(rows, ("from the complex",))
+        record = _record({}, generators=gens, warnings=("from the handler",), extras={"b1": 0})
+        assert (record["ranks"], record["anchoring"]) == (None, None)
+        assert record["extras"] == {"b1": 0}
+        assert record["warnings"] == ["from the complex", "from the handler"]
+        rows = (_row(0, 1, "special"), _row(1, 1, "reducible", 1), _row(2, 1, "reducible", 1))
+        record = _record({}, generators=GradedGenerators(rows), extras={"b1": 0})
+        assert record["ranks"] == [1, 1, 1, 0]
+        assert list(record["extras"].items()) == [
+            ("b1", 0), ("total_rank", 3), ("euler_characteristic", 1)
+        ]
 
     def test_ranks_can_be_wrapped_on_the_class(self, capsys, monkeypatch):
         # perfbench's tracer replaces GradedGenerators.ranks on the class and
@@ -581,7 +615,7 @@ class TestRecord:
     def test_generators_are_the_entries(self):
         # the record prints the generator blocks exactly as the complex built them
         gens = two_bridge_generators(5, 3)
-        record = _record({}, generators=gens, ranks=gens.ranks())
+        record = _record({}, generators=gens)
         assert record["generators"] == list(gens.entries)
 
 
@@ -1096,6 +1130,20 @@ class TestHandlers:
         ]
 
 
+def assert_rank_facts(record, argv):
+    """A record with a rank vector carries its total and Euler number, the
+    latter as ``"+-|chi|"`` under cyclic anchoring; a conjectural one says so."""
+    ranks = record["ranks"]
+    assert (CONJECTURAL in record["warnings"]) == record["conjectural"], argv
+    if ranks is None:
+        return
+    chi = ranks[0] - ranks[1] + ranks[2] - ranks[3]
+    extras = record["extras"]
+    assert extras.get("total_rank") == sum(ranks), argv
+    expected = {"absolute": chi, "cyclic": f"+-{abs(chi)}"}[record["anchoring"]]
+    assert extras.get("euler_characteristic") == expected, argv
+
+
 class TestFuzz:
     """Seeded argv over every family: each ends in exit 0, 1 or 2 with the
     documented output, and no exception escapes ``main``."""
@@ -1122,6 +1170,8 @@ class TestFuzz:
                 if code == 1:
                     assert record.keys() == {"error", "message"}, argv
                     assert all(type(value) is str for value in record.values()), argv
+                else:
+                    assert_rank_facts(record, argv)
             elif code == 1:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
             else:

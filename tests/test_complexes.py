@@ -105,7 +105,7 @@ class TestMontesinosKnotComplex:
         data = SeifertData(((2, -1), (3, 1), (3, 1)))
         gens = montesinos_knot_complex(data, -6)
         assert gens.ranks() is None
-        assert gens.unknown == 4
+        assert sum(e["multiplicity"] for e in gens.entries if e["grading"] is None) == 4
         assert any("unknown gradings" in w for w in gens.warnings)
 
     def test_homology_sphere_matches_brieskorn_route(self):
@@ -404,6 +404,8 @@ class TestRecordTypes:
         # the walk returns before it reaches a row it could not place
         gens = GradedGenerators((_row(None, 0, "special"), _row("?", 1, "reducible", 1)))
         assert gens.ranks() is None
-        assert gens.unknown == 0
+        # even a block of no generators at an unknown grading stops it
+        assert gens.entries[0]["grading"] is None and gens.entries[0]["multiplicity"] == 0
         gens = GradedGenerators((_row(0, 1, "special"), _row(None, 2, "reducible", 1)))
-        assert (gens.ranks(), gens.unknown, gens.total) == (None, 2, 3)
+        assert gens.ranks() is None
+        assert sum(e["multiplicity"] for e in gens.entries if e["grading"] is None) == 2
