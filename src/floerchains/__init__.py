@@ -10,7 +10,6 @@ from .complexes import (
     ChainRanks,
     GradedGenerators,
     LinkComplex,
-    casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
     montesinos_link_complex,
@@ -21,6 +20,7 @@ from .complexes import (
 from .covers import (
     SeifertData,
     branched_cover_h1,
+    casson_from_alexander,
     cup_form,
     grading_shift_delta,
     seifert_h1_order,

@@ -2,20 +2,18 @@
 
 The package computes in integers only: no ``Fraction`` is built anywhere,
 and a Laurent polynomial is a plain {exponent: coefficient} dict.  This
-module holds the handful of exact routines the topology pipelines need:
-modular inverses, floor sums and the second derivative at 1 of a Laurent
-polynomial.  The package keeps no general matrix algorithm.  The test
-oracles in ``tests/oracles.py`` hold the Smith normal form of the Seifert
-H1 presentation and the Goeritz form of the two-bridge signature (even
-continued fractions and exact signatures of symmetric integer matrices).
+module holds modular inverses and floor sums; the package keeps no general
+matrix algorithm.  The test oracles in ``tests/oracles.py`` hold the Smith
+normal form of the Seifert H1 presentation and the Goeritz form of the
+two-bridge signature (even continued fractions and exact signatures of
+symmetric integer matrices).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
-from .errors import NotCoprimeError, NotNormalizedError
+from .errors import NotCoprimeError
 
 
 def mod_inverse(a: int, p: int) -> int:
@@ -50,19 +48,3 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         if y_max < m:
             return total
         n, b, m, a = y_max // m, y_max % m, a, m
-
-
-def second_derivative_at_one(delta: Mapping[int, int]) -> int:
-    """Second derivative at t = 1 of a normalized symmetric Laurent polynomial.
-
-    The polynomial is an {exponent: coefficient} map; a missing exponent and
-    a zero coefficient mean the same.  Requires delta(1) = 1 and
-    delta(t) = delta(1/t); equals sum_k c_k * k * (k - 1), which is even for
-    every symmetric input.
-    """
-    at_one = sum(delta.values())
-    if at_one != 1:
-        raise NotNormalizedError(f"delta(1) = {at_one}, expected 1")
-    if any(delta.get(-e, 0) != c for e, c in delta.items()):
-        raise NotNormalizedError("delta(t) != delta(1/t)")
-    return sum(c * e * (e - 1) for e, c in delta.items())

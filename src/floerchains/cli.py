@@ -49,7 +49,6 @@ from .complexes import (
     montesinos_knot_complex,
     montesinos_link_complex,
     special_montesinos_complex,
-    casson_from_alexander,
     torus_complex,
     torus_even_seifert_data,
     two_bridge_generators,
@@ -365,7 +364,7 @@ def _cmd_montesinos_link(args) -> Dict:
     notes = list(result.notes)
     extras = {"so3_classes": result.so3_classes, "su2_classes": result.su2_classes}
     if args.alexander is not None:
-        lam = casson_from_alexander(parse_alexander(args.alexander))
+        lam = covers.casson_from_alexander(parse_alexander(args.alexander))
         extras["casson_from_alexander"] = lam
         if -lam != result.so3_classes:
             warnings.append(

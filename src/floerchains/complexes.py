@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .arith import mod_inverse, second_derivative_at_one
+from .arith import mod_inverse
 from .covers import SeifertData, _as_int
 from .errors import InconsistentLkError
 from .lens import index_plus_one, indices_plus_one
@@ -304,16 +304,3 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         ChainRanks((2 * (n - n1), 2 * n1, 2 * (n - n1), 2 * n1), CYCLIC) for n1 in n1s
     )
     return LinkComplex(n, candidates, split, warnings, notes)
-
-
-def casson_from_alexander(delta: Mapping[int, int]) -> int:
-    """Casson invariant of the zero-surgery from the surgery knot's Alexander polynomial.
-
-    The polynomial is an {exponent: coefficient} dict.  The invariant equals
-    minus half the second derivative at 1 of the normalized symmetric
-    polynomial.
-    """
-    second = second_derivative_at_one(delta)
-    if second % 2:
-        raise ArithmeticError(f"odd second derivative {second} at t = 1")
-    return -second // 2

@@ -2,8 +2,8 @@
 
 First-homology orders, with 0 for an infinite group (b1 = 1): from the
 Alexander polynomial at -1, and of Seifert-fibered covers from unnormalized
-Seifert pairs, in integer arithmetic.  Also the mod-2 cup form and
-grading-shift parity from the linking number.
+Seifert pairs, in integer arithmetic.  Also the Casson invariant of a knot's
+zero-surgery, and the mod-2 cup form and grading-shift parity from lk.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from typing import Mapping, Sequence, Tuple
+
+from .errors import NotNormalizedError
 
 
 def _as_int(x) -> int:
@@ -55,6 +57,21 @@ def branched_cover_h1(delta: Mapping[int, int]) -> int:
     |delta(-1)| either way, in the encoding of ``seifert_h1_order``.
     """
     return abs(sum(-c if e % 2 else c for e, c in delta.items()))
+
+
+def casson_from_alexander(delta: Mapping[int, int]) -> int:
+    """Casson invariant of the zero-surgery from the surgery knot's Alexander polynomial.
+
+    The polynomial is an {exponent: coefficient} map, a zero coefficient
+    meaning an absent term, with delta(1) = 1 and delta(t) = delta(1/t).  The
+    invariant -delta''(1) / 2 is, by the symmetry, -sum_{e > 0} c_e * e**2.
+    """
+    at_one = sum(delta.values())
+    if at_one != 1:
+        raise NotNormalizedError(f"delta(1) = {at_one}, expected 1")
+    if any(delta.get(-e, 0) != c for e, c in delta.items()):
+        raise NotNormalizedError("delta(t) != delta(1/t)")
+    return -sum(c * e * e for e, c in delta.items() if e > 0)
 
 
 def cup_form(lk: int) -> int:

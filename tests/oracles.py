@@ -12,6 +12,8 @@
   folded into a single step.
 - The torus-knot Alexander polynomial, as an {exponent: coefficient} dict,
   by exact polynomial division; it feeds ``casson_from_alexander``.
+- The second derivative at 1 of a Laurent polynomial, sum_e c_e * e * (e - 1),
+  which ``casson_from_alexander`` halves in closed form.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
 - The Seifert |H1| as |e * a_1 * ... * a_n| with the Euler number e summed
   in ``Fraction``s.
@@ -397,6 +399,11 @@ def torus_alexander(p: int, q: int) -> Dict[int, int]:
     if sum(delta.values()) != 1 or any(delta.get(-e, 0) != c for e, c in delta.items()):
         raise ArithmeticError(f"torus Alexander polynomial of ({p}, {q}) is not normalized")
     return delta
+
+
+def second_derivative_at_one(delta: Dict[int, int]) -> int:
+    """Second derivative at t = 1 of the Laurent polynomial sum_e c_e * t**e."""
+    return sum(c * e * (e - 1) for e, c in delta.items())
 
 
 def two_bridge_complex(p: int, q: int) -> ChainRanks:

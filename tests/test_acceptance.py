@@ -12,14 +12,13 @@ import random
 from floerchains.arith import mod_inverse
 from floerchains.cli import main
 from floerchains.complexes import (
-    casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
     montesinos_link_complex,
     special_montesinos_complex,
     torus_complex,
 )
-from floerchains.covers import SeifertData, seifert_h1_order
+from floerchains.covers import SeifertData, casson_from_alexander, seifert_h1_order
 from floerchains.errors import EvenOrderError, InfiniteH1Error, NotHomologyS1xS2Error
 from floerchains.lens import index_plus_one
 from floerchains.seifert import (

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from floerchains.arith import floor_sum, mod_inverse, second_derivative_at_one
-from floerchains.errors import NotCoprimeError, NotNormalizedError
+from floerchains.arith import floor_sum, mod_inverse
+from floerchains.errors import NotCoprimeError
 
 from oracles import (
     evaluate_minus_fraction,
@@ -23,6 +23,10 @@ class TestModInverse:
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
             mod_inverse(6, 9)
+
+    def test_nonpositive_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be positive, got 0"):
+            mod_inverse(3, 0)
 
     def test_exhaustive_small_range(self):
         for p in range(2, 300):
@@ -141,40 +145,6 @@ class TestSignature:
             au = [[sum(a[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
             b = [[sum(u[k][i] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
             assert signature(b) == signature(a)
-
-
-class TestSecondDerivative:
-    def test_examples(self):
-        assert second_derivative_at_one({1: 1, 0: -1, -1: 1}) == 2
-        assert second_derivative_at_one({0: 1}) == 0
-        five = {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}
-        assert second_derivative_at_one(five) == 6
-
-    def test_zero_coefficients_count_as_absent(self):
-        # t^2 and t^-3 with coefficient 0 have no partner exponent, and the
-        # polynomial is still symmetric
-        assert second_derivative_at_one({2: 0, 1: 1, 0: -1, -1: 1, -3: 0}) == 2
-        assert second_derivative_at_one({0: 1, 4: 0}) == 0
-        with pytest.raises(NotNormalizedError):
-            second_derivative_at_one({0: 0})
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            second_derivative_at_one({0: 2})
-        with pytest.raises(NotNormalizedError):
-            second_derivative_at_one({1: 1, 0: 1, -1: -1})
-
-    def test_always_even_for_symmetric(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            coeffs = {0: 1}
-            for e in range(1, rng.randint(2, 6)):
-                c = rng.randint(-3, 3)
-                coeffs[e] = c
-                coeffs[-e] = c
-            coeffs[0] = 1 - 2 * sum(coeffs.get(e, 0) for e in range(1, 7))
-            assert sum(coeffs.values()) == 1
-            assert second_derivative_at_one(coeffs) % 2 == 0
 
 
 class TestSmithNormalForm:

@@ -238,6 +238,8 @@ SEIFERT_ERRORS = [
     (["montesinos-knot", "--signature=0", "--pairs", "3,1;3,1;3,1"],
      "FlatCobordismError",
      "central fiber class survives in H1; characters do not extend flatly"),
+    (["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--signature=1"],
+     "ValueError", "knot signatures are even, got 1"),
     (["montesinos-link", "--pairs", "2,1;3,1;7,-6"],
      "NotHomologyS1xS2Error", "|H1| = 1, expected a homology S^1 x S^2"),
     (["montesinos-link", "--pairs", "2,1;4,-1;4,-1"],
@@ -325,6 +327,18 @@ class TestOtherCommands:
         assert record["ranks"] == [2, 4, 2, 4]
         assert record["extras"]["casson_from_alexander"] == -3
         assert any("cross-validated" in n for n in record["notes"])
+
+    def test_montesinos_link_disagreeing_alexander(self, capsys):
+        # the unknot's polynomial gives casson 0 against one class: a warning, not an error
+        code, out, _ = run(
+            capsys, "montesinos-link", "--pairs", "2,1;3,-1;6,-1", "--lk", "4",
+            "--alexander", "0:1", "--json",
+        )
+        record = json.loads(out)
+        assert code == 0
+        assert record["extras"]["casson_from_alexander"] == 0
+        assert "class count 1 disagrees with -casson = 0" in record["warnings"]
+        assert not any("cross-validated" in n for n in record["notes"])
 
     def test_torus_odd(self, capsys):
         code, out, _ = run(capsys, "torus", "3", "5", "--json")
@@ -543,6 +557,9 @@ SAMPLE_COMMANDS = [
     ["torus", "2", "7"],
     ["montesinos-link", "--pairs", "2,1;3,-1;6,-1", "--lk", "4"],
     ["montesinos-link", "--pairs", "2,1;5,-2;10,-1"],
+    ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4",
+     "--alexander=-2:1,-1:-1,0:1,1:-1,2:1"],
+    ["montesinos-link", "--pairs", "2,1;3,-1;6,-1", "--lk", "4", "--alexander", "0:1"],
     ["homology", "--alexander=-1:1,0:-1,1:1"],
     ["homology", "--pairs", "2,1;3,-1;6,-1", "--lk", "4"],
 ]
@@ -974,6 +991,14 @@ class TestConfigMode:
             main(["config", str(tmp_path / "absent.cfg"), "--json"])
         assert err.value.code == 2
         assert "cannot read config file" in capsys.readouterr().err
+
+    def test_missing_command_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nocommand.cfg"
+        cfg.write_text("p = 5\nq = 3\n")
+        with pytest.raises(SystemExit) as err:
+            main(["config", str(cfg), "--json"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith("config file must set command=...")
 
     def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

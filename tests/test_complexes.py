@@ -12,7 +12,6 @@ from floerchains.complexes import (
     GradedGenerators,
     LinkComplex,
     _row,
-    casson_from_alexander,
     euler_characteristic,
     montesinos_knot_complex,
     montesinos_link_complex,
@@ -21,7 +20,7 @@ from floerchains.complexes import (
     torus_even_seifert_data,
     two_bridge_generators,
 )
-from floerchains.covers import SeifertData
+from floerchains.covers import SeifertData, casson_from_alexander
 from floerchains.errors import (
     EvenOrderError,
     FlatCobordismError,
@@ -158,14 +157,15 @@ class TestMontesinosKnotComplex:
             montesinos_knot_complex(data, -6, (2.9, 0, 0, 2.2))
         with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(5, 2\)"):
             montesinos_knot_complex(data, -6, (2, 0, Fraction(5, 2), 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="irreducible block sums to 3, expected 4"):
             montesinos_knot_complex(data, -6, (1, 0, 0, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="irreducible block must be four counts"):
             montesinos_knot_complex(data, -6, (2, 0, 2))
         # right total but not decomposable into mu, mu+1 class pairs
-        with pytest.raises(ValueError):
+        consecutive = "is not a sum of consecutive-grading pairs"
+        with pytest.raises(ValueError, match=consecutive):
             montesinos_knot_complex(data, -6, (4, 0, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=consecutive):
             montesinos_knot_complex(data, -6, (1, 1, 1, 1))
         for good in ((2, 0, 0, 2), (2, 2, 0, 0), (0, 2, 2, 0), (0, 0, 2, 2)):
             assert montesinos_knot_complex(data, -6, good).ranks() is not None
@@ -204,6 +204,12 @@ class TestTorusComplex:
     def test_rejects_even_input(self):
         with pytest.raises(ValueError):
             torus_complex(3, 4)
+
+    def test_even_seifert_data_validation(self):
+        with pytest.raises(ValueError, match=r"need odd p and even q coprime, got \(3, 5\)"):
+            torus_even_seifert_data(3, 5)
+        with pytest.raises(ValueError, match="q = 2 covers are lens spaces"):
+            torus_even_seifert_data(3, 2)
 
     def test_wrong_inverse_raises(self, monkeypatch):
         monkeypatch.setattr(complexes, "mod_inverse", lambda a, m: 0)
@@ -309,11 +315,6 @@ class TestAlexanderRoutes:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             torus_alexander(4, 6)
-
-    def test_odd_second_derivative_raises(self, monkeypatch):
-        monkeypatch.setattr(complexes, "second_derivative_at_one", lambda delta: 3)
-        with pytest.raises(ArithmeticError):
-            casson_from_alexander(torus_alexander(2, 3))
 
     def test_unnormalized_quotient_raises(self, monkeypatch):
         divide = oracles._poly_div

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,10 +7,14 @@ import pytest
 from floerchains.covers import (
     SeifertData,
     branched_cover_h1,
+    casson_from_alexander,
     cup_form,
     grading_shift_delta,
     seifert_h1_order,
 )
+from floerchains.errors import NotNormalizedError
+
+from oracles import second_derivative_at_one
 
 
 class TestBranchedCoverH1:
@@ -39,6 +44,47 @@ class TestBranchedCoverH1:
             coeffs[0] = (1 if rng.random() < 0.5 else -1) - tail
             assert abs(sum(coeffs.values())) == 1
             assert branched_cover_h1(coeffs) % 2 == 1
+
+
+class TestCassonFromAlexander:
+    def test_examples(self):
+        assert casson_from_alexander({1: 1, 0: -1, -1: 1}) == -1
+        assert casson_from_alexander({0: 1}) == 0
+        five = {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}
+        assert casson_from_alexander(five) == -3
+
+    def test_zero_coefficients_count_as_absent(self):
+        # t^2 and t^-3 with coefficient 0 have no partner exponent, and the
+        # polynomial is still symmetric
+        assert casson_from_alexander({2: 0, 1: 1, 0: -1, -1: 1, -3: 0}) == -1
+        assert casson_from_alexander({0: 1, 4: 0}) == 0
+        with pytest.raises(NotNormalizedError, match=r"delta\(1\) = 0, expected 1"):
+            casson_from_alexander({0: 0})
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(NotNormalizedError, match=r"delta\(1\) = 2, expected 1"):
+            casson_from_alexander({0: 2})
+        with pytest.raises(NotNormalizedError, match=r"delta\(t\) != delta\(1/t\)"):
+            casson_from_alexander({1: 1, 0: 1, -1: -1})
+
+    def test_matches_half_second_derivative(self):
+        # every symmetric delta with delta(1) = 1 and c_1, c_2, c_3 in [-3, 3]
+        for tail in itertools.product(range(-3, 4), repeat=3):
+            delta = {0: 1 - 2 * sum(tail)}
+            for e, c in enumerate(tail, 1):
+                delta[e] = delta[-e] = c
+            second = second_derivative_at_one(delta)
+            assert second % 2 == 0, delta
+            assert casson_from_alexander(delta) == -second // 2, delta
+
+    def test_matches_half_second_derivative_random(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            delta = {0: 1}
+            for e in range(1, rng.randint(2, 12)):
+                delta[e] = delta[-e] = rng.randint(-3, 3)
+            delta[0] = 1 - 2 * sum(c for e, c in delta.items() if e > 0)
+            assert casson_from_alexander(delta) == -second_derivative_at_one(delta) // 2
 
 
 class TestCupFormAndDelta:
