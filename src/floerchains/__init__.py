@@ -21,8 +21,6 @@ from .covers import (
     SeifertData,
     branched_cover_h1,
     casson_from_alexander,
-    cup_form,
-    grading_shift_delta,
     seifert_h1_order,
 )
 from .lens import index_plus_one, lattice_counts
@@ -39,10 +37,8 @@ __all__ = [
     "branched_cover_h1",
     "casson",
     "casson_from_alexander",
-    "cup_form",
     "enumerate_projective",
     "euler_characteristic",
-    "grading_shift_delta",
     "index_plus_one",
     "lattice_counts",
     "mod_inverse",

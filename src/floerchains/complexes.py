@@ -244,10 +244,11 @@ class LinkComplex(NamedTuple):
 
     so3_classes is the number of SO(3) classes with nontrivial w2; each
     contributes four generators and lifts to two SU(2) classes.  When the
-    linking number determines the split (n1, n3), n1 >= n3, candidates holds
-    the single vector (2n3, 2n1, 2n3, 2n1), the least rotation of
-    (2n1, 2n3, 2n1, 2n3); without it, split is None and candidates holds
-    one such vector per admissible split.
+    split (n1, n3), n1 >= n3, is determined, by the linking number or by
+    being the only admissible one (one class, say), candidates holds the
+    single vector (2n3, 2n1, 2n3, 2n1), the least rotation of
+    (2n1, 2n3, 2n1, 2n3); otherwise split is None and candidates holds one
+    such vector per admissible split.
     """
 
     so3_classes: int
@@ -276,8 +277,9 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
     The generator count is four per projective SO(3) class; the rank
     template is (2n1, 2n3, 2n1, 2n3) with n1 + n3 the class count.  The
     split is fixed by the Euler-characteristic constraint
-    4*(n1 - n3) = +-lk; the sign ambiguity only rotates the vector, which
-    is anchored up to cyclic permutation anyway.
+    4*(n1 - n3) = +-lk, or without lk when only one split is admissible;
+    the sign ambiguity only rotates the vector, which is anchored up to
+    cyclic permutation anyway.
     """
     n = len(enumerate_projective(s))
     notes = (
@@ -286,20 +288,22 @@ def montesinos_link_complex(s: SeifertData, lk: Optional[int] = None) -> LinkCom
         "rank vectors and is not used",
     )
 
-    if lk is None:
-        n1s = range((n + 1) // 2, n + 1)
-        split = None
-        warnings = ("ambiguous split: no linking number supplied",)
-    else:
+    n1s = range((n + 1) // 2, n + 1)  # the admissible n1 >= n3
+    if lk is not None:
         lk = _as_int(lk)
         quarter, rem = divmod(abs(lk), 4)  # quarter = n1 - n3
         if rem or quarter > n or (n + quarter) % 2:
             raise InconsistentLkError(
                 f"|lk| = {abs(lk)} admits no split with n1 + n3 = {n}"
             )
-        n1 = (n + quarter) // 2
-        n1s, split = (n1,), (n1, n - n1)
-        warnings = ("split (n1, n3) is determined only up to interchange",) if quarter else ()
+        n1s = ((n + quarter) // 2,)
+    if len(n1s) == 1:
+        n1 = n1s[0]
+        split = (n1, n - n1)
+        warnings = ("split (n1, n3) is determined only up to interchange",) if 2 * n1 != n else ()
+    else:
+        split = None
+        warnings = ("ambiguous split: no linking number supplied",)
     candidates = tuple(
         ChainRanks((2 * (n - n1), 2 * n1, 2 * (n - n1), 2 * n1), CYCLIC) for n1 in n1s
     )

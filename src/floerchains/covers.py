@@ -3,7 +3,7 @@
 First-homology orders, with 0 for an infinite group (b1 = 1): from the
 Alexander polynomial at -1, and of Seifert-fibered covers from unnormalized
 Seifert pairs, in integer arithmetic.  Also the Casson invariant of a knot's
-zero-surgery, and the mod-2 cup form and grading-shift parity from lk.
+zero-surgery from the surgery knot's Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -72,16 +72,6 @@ def casson_from_alexander(delta: Mapping[int, int]) -> int:
     if any(delta.get(-e, 0) != c for e, c in delta.items()):
         raise NotNormalizedError("delta(t) != delta(1/t)")
     return -sum(c * e * e for e, c in delta.items() if e > 0)
-
-
-def cup_form(lk: int) -> int:
-    """Value of the H^1 x H^1 -> H^2 mod-2 pairing on generators: lk mod 2."""
-    return lk % 2
-
-
-def grading_shift_delta(lk: int) -> int:
-    """Parity delta of the mod-4 grading shift 2*delta: 0 for odd lk, 1 for even."""
-    return 0 if lk % 2 else 1
 
 
 def seifert_h1_order(s: SeifertData) -> int:

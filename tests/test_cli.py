@@ -311,6 +311,21 @@ class TestOtherCommands:
         assert record["anchoring"] == "cyclic"
         assert record["extras"]["so3_classes"] == 1
 
+    @pytest.mark.parametrize("pairs", ["2,1;3,-1;6,-1", "2,-1;3,-2;6,7"])
+    def test_one_class_link_split_is_determined(self, pairs):
+        # one SO(3) class admits the one split (1, 0), so no --lk is needed
+        records = []
+        for lk in ([], ["--lk", "4"], ["--lk", "-4"]):
+            code, record = cli._evaluate(cli._parse(["montesinos-link", "--pairs", pairs, *lk]))
+            assert code == 0
+            record.pop("input")
+            records.append(record)
+        assert records[0] == records[1] == records[2]
+        assert records[0]["ranks"] == [0, 2, 0, 2]
+        assert records[0]["extras"]["split"] == [1, 0]
+        assert "candidates" not in records[0]["extras"]
+        assert not any("ambiguous split" in w for w in records[0]["warnings"])
+
     def test_montesinos_link_cross_validation(self, capsys):
         code, out, _ = run(
             capsys,
@@ -481,9 +496,17 @@ class TestOtherCommands:
 
     def test_every_knot_with_ranks_has_euler_number_one(self):
         # a knot's chain complex has Euler number 1 on every route: each
-        # pairwise coprime Brieskorn triple 2 <= p < q < r < 30 and each
-        # coprime torus pair 2 <= p < q <= 40 in both orders
-        argvs = [
+        # pairwise coprime Brieskorn triple 2 <= p < q < r < 30, each
+        # coprime torus pair 2 <= p < q <= 40 in both orders, and each
+        # coprime two-bridge pair with odd 3 <= p <= 45, whose total rank is p
+        two_bridge = [
+            ["two-bridge", "-p", str(p), "-q", str(q)]
+            for p in range(3, 46, 2)
+            for q in range(1, p)
+            if math.gcd(p, q) == 1
+        ]
+        assert len(two_bridge) == 422
+        argvs = two_bridge + [
             ["brieskorn-knot", str(p), str(q), str(r)]
             for p in range(2, 30)
             for q in range(p + 1, 30)
@@ -501,6 +524,9 @@ class TestOtherCommands:
         for argv in argvs:
             code, record = cli._evaluate(cli._parse(argv))
             assert code == 0, argv
+            if argv[0] == "two-bridge":
+                assert record["extras"].get("euler_characteristic") == 1, argv
+                assert record["extras"].get("total_rank") == int(argv[2]), argv
             if record["ranks"] is not None:
                 ranked += 1
                 assert record["extras"].get("euler_characteristic") == 1, argv
@@ -556,6 +582,7 @@ SAMPLE_COMMANDS = [
     ["torus", "3", "4"],
     ["torus", "2", "7"],
     ["montesinos-link", "--pairs", "2,1;3,-1;6,-1", "--lk", "4"],
+    ["montesinos-link", "--pairs", "2,1;3,-1;6,-1"],
     ["montesinos-link", "--pairs", "2,1;5,-2;10,-1"],
     ["montesinos-link", "--pairs", "2,1;5,-2;10,-1", "--lk", "4",
      "--alexander=-2:1,-1:-1,0:1,1:-1,2:1"],
@@ -697,6 +724,7 @@ USAGE_PROBES = [
     ["homology", "--alexander=1:1", "--pairs=2,1;3,1;5,1"],
     ["regress", "--json"],
     ["regress", "--filter"],
+    ["regress", "--filter", "torus", "--verbose"],
     ["config"],
     ["config", "job.cfg", "extra"],
     # argparse drops a joined `--` value and would store an empty list
@@ -714,7 +742,6 @@ VALID_ARGV = [
     ["two-bridge", "-q", "-3", "-p", "5"],
     ["montesinos-knot", "--pairs", "2,-1;3,1;3,1", "--sig=-6", "--irr", "2,0,0,2"],
     ["torus", "-3", "5"],
-    ["regress", "--filter", "torus", "--verbose"],
 ]
 
 
@@ -771,47 +798,56 @@ class TestRegress:
         code, out, _ = run(capsys, "regress")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("[PASS]") == len(GOLDEN) + 1
+        assert out.count("[PASS]") == len(GOLDEN)
+        assert not any(line.startswith(" ") for line in out.splitlines())
+        assert out.endswith("OK: 0 failing case(s)\n")
 
     def test_filter(self, capsys):
-        code, out, _ = run(capsys, "regress", "--filter", "two-bridge")
-        assert code == 0
-        assert "[PASS] two-bridge figure-eight" in out
-        assert "[PASS] two-bridge euler sweep" in out
-        assert "brieskorn" not in out
+        # regress takes no options: --filter and --verbose are usage errors
+        for option in (["--filter", "two-bridge"], ["--verbose"]):
+            with pytest.raises(SystemExit) as err:
+                main(["regress", *option])
+            assert err.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
     def test_reports_a_changed_record(self, capsys, monkeypatch):
         case = copy.deepcopy(GOLDEN[0])
         case["record"]["ranks"] = [0, 0, 0, 0]
         monkeypatch.setattr(cli, "_golden_cases", lambda: [case])
-        code, out, _ = run(capsys, "regress", "--filter", case["name"], "--verbose")
+        code, out, _ = run(capsys, "regress")
         assert code == 1
         assert f"[FAIL] {case['name']}" in out
-        assert "ranks: expected [0, 0, 0, 0]" in out
+        assert "    ranks: expected [0, 0, 0, 0], actual [1, 1, 2, 1]" in out
         assert "generators:" not in out
+        assert out.endswith("FAILED: 1 failing case(s)\n")
 
     def test_fails_on_output_that_is_not_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_golden_cases", lambda: GOLDEN[:1])
         monkeypatch.setattr(cli, "_write_json", lambda value, out, newline: out.append("{"))
-        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        code, out, _ = run(capsys, "regress")
         assert code == 1
         assert f"[FAIL] {GOLDEN[0]['name']}" in out
-        assert "--json output: JSONDecodeError" in out
+        assert "    --json output: JSONDecodeError" in out
 
     def test_fails_on_a_wrongly_printed_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_golden_cases", lambda: GOLDEN[:1])
         monkeypatch.setitem(cli._JSON_SCALARS, int, lambda value: repr(value + 1))
-        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        code, out, _ = run(capsys, "regress")
         assert code == 1
-        assert "ranks: expected [1, 1, 2, 1], actual [2, 2, 3, 2]" in out
+        assert "    ranks: expected [1, 1, 2, 1], actual [2, 2, 3, 2]" in out
 
     def test_fails_on_a_layout_that_still_parses(self, capsys, monkeypatch):
         # one space too many in the generator rows' indent: the text parses
         # back to the same record, so only the byte comparison catches it
+        monkeypatch.setattr(cli, "_golden_cases", lambda: GOLDEN[:1])
         flat_rows = cli._flat_rows
         monkeypatch.setattr(cli, "_flat_rows", lambda rows, newline: flat_rows(rows, newline + " "))
-        code, out, _ = run(capsys, "regress", "--filter", GOLDEN[0]["name"], "--verbose")
+        code, out, _ = run(capsys, "regress")
         assert code == 1
         assert f"[FAIL] {GOLDEN[0]['name']}" in out
-        assert "--json layout: differs from json.dumps" in out
+        assert "    --json layout: differs from json.dumps" in out
         assert "expected" not in out
 
     def test_passes_under_optimize(self):

@@ -257,10 +257,16 @@ class TestMontesinosLinkComplex:
     def test_split_sweep(self, monkeypatch):
         # every class count n and every lk around the admissible range: an lk
         # either fixes one of the lk-free candidates with 4*(n1 - n3) = |lk|,
-        # n1 >= n3, or is refused; together the lk reach every candidate
+        # n1 >= n3, or is refused; together the lk reach every candidate.  The
+        # lk-free result fixes the split exactly when one candidate is left,
+        # and is then the result of each lk that fixes it
         for n in range(41):
             monkeypatch.setattr(complexes, "enumerate_projective", lambda s, n=n: [None] * n)
-            free = montesinos_link_complex(None).candidates
+            unfixed = montesinos_link_complex(None)
+            free = unfixed.candidates
+            assert (unfixed.split is not None) == (len(free) == 1) == (n <= 1), n
+            ambiguous = any("ambiguous split" in w for w in unfixed.warnings)
+            assert ambiguous == (unfixed.split is None), n
             reached = set()
             for lk in range(-4 * n - 8, 4 * n + 9):
                 try:
@@ -272,6 +278,8 @@ class TestMontesinosLinkComplex:
                 assert ranks in free and ranks == result.ranks, (n, lk)
                 assert ranks.r == (2 * n3, 2 * n1, 2 * n3, 2 * n1), (n, lk)
                 assert n1 + n3 == n and n1 >= n3 and 4 * (n1 - n3) == abs(lk), (n, lk)
+                if unfixed.split is not None:
+                    assert result == unfixed, (n, lk)
                 reached.add(ranks)
             assert reached == set(free), n
 

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from floerchains import cli
 from floerchains.covers import (
     SeifertData,
     branched_cover_h1,
     casson_from_alexander,
-    cup_form,
-    grading_shift_delta,
     seifert_h1_order,
 )
 from floerchains.errors import NotNormalizedError
@@ -87,18 +86,28 @@ class TestCassonFromAlexander:
             assert casson_from_alexander(delta) == -second_derivative_at_one(delta) // 2
 
 
+def homology_parities(lk):
+    """The cup form and grading shift of ``homology --pairs "2,1;3,-1;6,-1" --lk lk``."""
+    argv = ["homology", "--pairs", "2,1;3,-1;6,-1", "--lk", str(lk), "--json"]
+    code, record = cli._evaluate(cli._parse(argv))
+    assert code == 0
+    return record["extras"]["cup_form"], record["extras"]["grading_shift"]
+
+
 class TestCupFormAndDelta:
     @pytest.mark.parametrize("lk,want", [(1, 1), (0, 0), (4, 0)])
     def test_cup_examples(self, lk, want):
-        assert cup_form(lk) == want
+        assert homology_parities(lk)[0] == want
 
     @pytest.mark.parametrize("lk,want", [(1, 0), (4, 1), (0, 1)])
     def test_delta_examples(self, lk, want):
-        assert grading_shift_delta(lk) == want
+        assert homology_parities(lk)[1] == want
 
     def test_complementary_parities(self):
         for lk in range(-7, 8):
-            assert grading_shift_delta(lk) + cup_form(lk) == 1
+            cup, shift = homology_parities(lk)
+            assert (cup, shift) == (lk % 2, 1 - lk % 2), lk
+            assert cup + shift == 1, lk
 
 
 class TestSeifertH1Order:

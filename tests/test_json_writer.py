@@ -1,9 +1,7 @@
 """The --json writer against ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
 
 import collections
-import contextlib
 import enum
-import io
 import json
 import math
 import random
@@ -16,10 +14,7 @@ from test_cli import INPUT_ERRORS, count_calls
 
 def printed(record):
     """What ``--json`` prints for `record`."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._print_record(record, True)
-    return out.getvalue()
+    return cli._json_text(record) + "\n"
 
 
 def dumped(record):
