@@ -24,12 +24,14 @@ anchoring, conjectural, warnings (plus notes and extras), laid out as
 would print and diffs each whole record, and checks that text byte for
 byte against ``json.dumps``.
 Exit codes: 0 success, 1 domain or input error (a JSON object with the
-error name under --json), 2 usage error.
+error name under --json) or a stdout closed before the record is printed,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -615,7 +617,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if code and not args.json:
         print(f"error: {record['error']}: {record['message']}", file=sys.stderr)
     else:
-        _print_record(record, args.json)
+        try:
+            _print_record(record, args.json)
+        except BrokenPipeError:
+            # a closed stdout: its descriptor, if it has one (a StringIO has
+            # none), gets devnull, so that the flush at exit raises nothing
+            with contextlib.suppress(OSError):
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            return 1
     return code
 
 

@@ -70,6 +70,13 @@ def _row(
     return {"grading": grading, "id": class_id, "multiplicity": multiplicity, "origin": origin}
 
 
+def _reducible_rows(mu: Optional[int]) -> Tuple[Dict, ...]:
+    """A reducible class's rows at grading mu (None: unknown), for copies that set the id."""
+    if mu is None:
+        return (_row(None, 2, REDUCIBLE),)
+    return _row(mu, 1, REDUCIBLE), _row((mu + 1) % 4, 1, REDUCIBLE)
+
+
 class GradedGenerators(NamedTuple):
     """Multiset of generator blocks, possibly with unknown gradings."""
 
@@ -104,11 +111,14 @@ def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """
     sign = two_bridge_signature(p, q)
     entries = [_row(sign % 4, 1, SPECIAL)]
+    # a class's rows at each mod-8 index, which is even, copied per class
+    blocks = {index: _reducible_rows((index // 2 + sign) % 4) for index in range(0, 8, 2)}
     # the indices of L(p, q') read only the inverse of q', which is q itself
     for ell, index in enumerate(indices_plus_one(p, q), 1):
-        mu = (index // 2 + sign) % 4
-        entries.append(_row(mu, 1, REDUCIBLE, ell))
-        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
+        for row in blocks[index]:
+            row = row.copy()
+            row["id"] = ell
+            entries.append(row)
     return GradedGenerators(tuple(entries))
 
 
@@ -154,21 +164,23 @@ def montesinos_knot_complex(
         (a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs
     ]
 
+    blocks = {}  # grading mu, None if unknown -> a class's rows, copied per class
     for idx, ells in enumerate(classes, start=1):
         active = [(lens, ell) for lens, ell in zip(lenses, ells) if ell != 0]
+        mu = None
         if any(lens is None for lens, _ in active):
             warnings.append(
                 f"unknown gradings: reducible class {idx} restricts nontrivially "
                 "to an even-multiplicity fiber"
             )
-            entries.append(_row(None, 2, REDUCIBLE, idx))
-            continue
-        mu = sign_k - 1
-        for lens, ell in active:
-            mu += index_plus_one(*lens, ell) // 2 + 1
-        mu %= 4
-        entries.append(_row(mu, 1, REDUCIBLE, idx))
-        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, idx))
+        else:
+            mu = (sign_k - 1 + sum(index_plus_one(*lens, ell) // 2 + 1 for lens, ell in active)) % 4
+        if mu not in blocks:
+            blocks[mu] = _reducible_rows(mu)
+        for row in blocks[mu]:
+            row = row.copy()
+            row["id"] = idx
+            entries.append(row)
 
     k = _irreducible_count(reduced.pairs)
     block = ()
@@ -193,8 +205,11 @@ def montesinos_knot_complex(
             f"unknown gradings: {k} irreducible class(es) contribute "
             f"{4 * k} generators at unresolved gradings"
         )
+        unknown = _row(None, 4, IRREDUCIBLE)
         for idx in range(1, k + 1):
-            entries.append(_row(None, 4, IRREDUCIBLE, idx))
+            row = unknown.copy()
+            row["id"] = idx
+            entries.append(row)
     for g, count in enumerate(block):
         if count:
             entries.append(_row(g, count, IRREDUCIBLE))

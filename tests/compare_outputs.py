@@ -1,6 +1,7 @@
-"""Compare what the CLI prints between two source trees.
+"""Compare what the CLI prints between two source trees, or list it for one.
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [-O]
+    python tests/compare_outputs.py --manifest SRC [-O]
 
 Each tree's ``floerchains.cli.main`` runs every argv of one fixed set, in
 process, in one child interpreter per tree (``python -O`` with ``-O``).
@@ -9,6 +10,14 @@ naming which of them differ; where both stdouts are JSON objects it adds
 whether the new one only adds keys or list items to the old one, and
 otherwise the first stdout line that differs.  A last line counts the
 differing argv, and the exit status is 1 if there is any.
+
+With ``--manifest`` the script runs the one tree ``SRC`` and prints a
+header line naming the Python minor version, then one line per argv: 16 hex
+digits of the sha256 of the argv, then 16 of the sha256 of (exit code,
+stdout, stderr), each hashed as its JSON text.  A generated ``config`` file
+is hashed by its text, not by its temporary path, so the lines repeat
+between runs.  ``tests/output_manifest.txt`` holds the manifest and
+``tests/test_compare_outputs.py`` recomputes it.
 
 The argv set, each argv once:
 - the golden argv of both trees;
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -42,7 +52,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -159,12 +169,45 @@ def _start(src: Path, optimize: bool, argvs: List[List[str]]) -> subprocess.Pope
     return child
 
 
+def manifest_header() -> str:
+    version = f"{sys.version_info[0]}.{sys.version_info[1]}"
+    return f"# python {version}: sha256[:16] of argv, of [exit, stdout, stderr]"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def manifest(src: Path, optimize: bool) -> List[Tuple[List[str], str]]:
+    """Each argv of the set, run on the tree `src`, with its manifest line;
+    in the argv, the path of a generated config file is replaced by its text."""
+    with tempfile.TemporaryDirectory() as config_dir:
+        argvs = argv_set(src, src, Path(config_dir))
+        texts = {str(path): path.read_text(encoding="utf-8") for path in Path(config_dir).iterdir()}
+        child = _start(src, optimize, argvs)
+        rows = []
+        for argv, result in zip(argvs, child.stdout):
+            named = [texts.get(arg, arg) if argv[0] == "config" else arg for arg in argv]
+            rows.append((named, f"{_digest(named)} {_digest(json.loads(result))}"))
+        if child.wait():
+            raise SystemExit(f"the child failed: exit {child.returncode}")
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    parser.add_argument("old_src", type=Path, nargs="?")
+    parser.add_argument("new_src", type=Path, nargs="?")
+    parser.add_argument("--manifest", type=Path, metavar="SRC", help="print the manifest of SRC")
     parser.add_argument("-O", dest="optimize", action="store_true", help="run under python -O")
     args = parser.parse_args()
+    if [args.old_src, args.new_src].count(None) != (2 if args.manifest else 0):
+        parser.error("give OLD_SRC and NEW_SRC, or --manifest SRC alone")
+    if args.manifest is not None:
+        print(manifest_header())
+        for _, line in manifest(args.manifest, args.optimize):
+            print(line)
+        return 0
     differing = 0
     with tempfile.TemporaryDirectory() as config_dir:
         argvs = argv_set(args.old_src, args.new_src, Path(config_dir))

@@ -15,6 +15,8 @@
 - The second derivative at 1 of a Laurent polynomial, sum_e c_e * e * (e - 1),
   which ``casson_from_alexander`` halves in closed form.
 - The two-bridge rank vector and the reducible class count (|H1| - 1) / 2.
+- The generator rows of a two-bridge and of a Montesinos knot with one
+  ``_row`` call per row; the shipping code copies one prototype per block.
 - The Seifert |H1| as |e * a_1 * ... * a_n| with the Euler number e summed
   in ``Fraction``s.
 - The Smith normal form, and with it the reducible character classes with
@@ -37,7 +39,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from floerchains.arith import mod_inverse
-from floerchains.complexes import ChainRanks, two_bridge_generators
+from floerchains.complexes import (
+    IRREDUCIBLE,
+    REDUCIBLE,
+    SPECIAL,
+    ChainRanks,
+    _row,
+    two_bridge_generators,
+)
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
     EvenOrderError,
@@ -45,8 +54,14 @@ from floerchains.errors import (
     InfiniteH1Error,
     NotCoprimeError,
 )
-from floerchains.lens import LatticeCounts
-from floerchains.seifert import _reduced_cover, _rotation_intervals
+from floerchains.lens import LatticeCounts, index_plus_one, indices_plus_one
+from floerchains.seifert import (
+    _irreducible_count,
+    _reduced_cover,
+    _rotation_intervals,
+    reducible_characters,
+)
+from floerchains.signatures import two_bridge_signature
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -412,6 +427,50 @@ def two_bridge_complex(p: int, q: int) -> ChainRanks:
     if ranks is None:
         raise ArithmeticError(f"two-bridge generators of ({p}, {q}) have an unknown grading")
     return ranks
+
+
+def two_bridge_rows(p: int, q: int) -> Tuple[Dict, ...]:
+    """The two-bridge generator rows with one ``_row`` call per row: the
+    oracle of ``two_bridge_generators``, which copies one pair of rows per
+    mod-8 index."""
+    sign = two_bridge_signature(p, q)
+    entries = [_row(sign % 4, 1, SPECIAL)]
+    for ell, index in enumerate(indices_plus_one(p, q), 1):
+        mu = (index // 2 + sign) % 4
+        entries.append(_row(mu, 1, REDUCIBLE, ell))
+        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, ell))
+    return tuple(entries)
+
+
+def montesinos_knot_rows(
+    s: SeifertData, sign_k: int, block: Optional[Sequence[int]] = None
+) -> Tuple[Dict, ...]:
+    """The rows of ``montesinos_knot_complex(s, sign_k, block)`` with one
+    ``_row`` call per row, for data and a block that it accepts: its oracle,
+    as it copies one prototype per block."""
+    reduced, order = _reduced_cover(s)
+    classes = reducible_characters(reduced, order)
+    lenses = [(a, -b % a, mod_inverse(-b, a)) if a % 2 else None for a, b in reduced.pairs]
+    entries = [_row(sign_k % 4, 1, SPECIAL)]
+    for idx, ells in enumerate(classes, start=1):
+        active = [(lens, ell) for lens, ell in zip(lenses, ells) if ell != 0]
+        if any(lens is None for lens, _ in active):
+            entries.append(_row(None, 2, REDUCIBLE, idx))
+            continue
+        mu = sign_k - 1 + sum(index_plus_one(*lens, ell) // 2 + 1 for lens, ell in active)
+        entries.append(_row(mu % 4, 1, REDUCIBLE, idx))
+        entries.append(_row((mu + 1) % 4, 1, REDUCIBLE, idx))
+    k = _irreducible_count(reduced.pairs)
+    if block is None and classes:
+        block = ()
+        for idx in range(1, k + 1):
+            entries.append(_row(None, 4, IRREDUCIBLE, idx))
+    elif block is None:
+        block = (k, k, k, k)
+    for g, count in enumerate(block):
+        if count:
+            entries.append(_row(g, count, IRREDUCIBLE))
+    return tuple(entries)
 
 
 def two_bridge_rank_vector(p: int, q: int) -> Tuple[int, ...]:

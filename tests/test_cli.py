@@ -556,6 +556,23 @@ class TestOtherCommands:
             main(["two-bridge", "-p", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "table"])
+    def test_closed_stdout_exits_1_quietly(self, mode):
+        # about 0.5 MB in either mode, more than a pipe holds, so the child is
+        # still writing when the reader closes the pipe after 10 bytes
+        src = Path(floerchains.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "floerchains.cli", "two-bridge", "-p", "20001", "-q", "7", *mode],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
     @pytest.mark.parametrize(
         "argv",
         [

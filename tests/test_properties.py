@@ -15,7 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from floerchains.arith import floor_sum, mod_inverse
 from floerchains.cli import main
-from floerchains.complexes import torus_even_seifert_data, two_bridge_generators
+from floerchains.complexes import (
+    montesinos_knot_complex,
+    torus_even_seifert_data,
+    two_bridge_generators,
+)
 from floerchains.covers import SeifertData, seifert_h1_order
 from floerchains.errors import (
     DomainError,
@@ -40,7 +44,9 @@ from oracles import (
     fraction_reducible_characters,
     fraction_sweep,
     goeritz_signature,
+    montesinos_knot_rows,
     two_bridge_rank_vector,
+    two_bridge_rows,
     walk_counts,
 )
 
@@ -112,6 +118,44 @@ def large_lens_pairs(count=6, seed=16):
 def test_two_bridge_ranks_match_closed_form(pair):
     p, q = pair
     assert two_bridge_generators(p, q).ranks().r == two_bridge_rank_vector(p, q)
+
+
+def assert_rows_unshared(entries, fresh=()):
+    """No two rows of `entries` are one dict, and none is a row of `fresh`,
+    a second build of the same record: after each row's id is set in turn,
+    every row reads its own id and `fresh` reads none of them."""
+    for i, row in enumerate(entries):
+        row["id"] = -1 - i
+    assert [row["id"] for row in entries] == [-1 - i for i in range(len(entries))]
+    assert all(row["id"] is None or row["id"] > 0 for row in fresh)
+
+
+def test_two_bridge_rows_match_per_row_oracle():
+    # every pair with p <= 99, and 32 seeded pairs with 201 <= p <= 1201
+    pairs = [(p, q) for p in range(3, 100, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+    assert len(pairs) == 2006
+    rng = random.Random(21)
+    for _ in range(32):
+        p = 2 * rng.randint(100, 600) + 1
+        pairs.append((p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+    for p, q in pairs:
+        entries = two_bridge_generators(p, q).entries
+        assert entries == two_bridge_rows(p, q), (p, q)
+        assert_rows_unshared(entries, two_bridge_generators(p, q).entries)
+
+
+def test_montesinos_rows_match_per_row_oracle():
+    # every flat triple, unpinned, at both residues of an even signature mod 4;
+    # every 16th is built twice, to see that two builds share no row
+    branches = set()
+    for i, pairs in enumerate(flat_triples()):
+        s, sign = SeifertData(pairs), 2 * (i % 2)
+        entries = montesinos_knot_complex(s, sign).entries
+        assert entries == montesinos_knot_rows(s, sign), pairs
+        branches.update((row["origin"], row["grading"] is None) for row in entries[1:])
+        assert_rows_unshared(entries, () if i % 16 else montesinos_knot_complex(s, sign).entries)
+    # graded and unknown reducible rows, and unknown irreducible rows, all occur
+    assert {("reducible", False), ("reducible", True), ("irreducible", True)} <= branches
 
 
 def test_torus_2_q_ranks_match_closed_form(capsys):
