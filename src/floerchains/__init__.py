@@ -25,7 +25,7 @@ from .covers import (
 )
 from .lens import index_plus_one, lattice_counts
 from .seifert import casson, enumerate_projective
-from .signatures import torus_signature, two_bridge_signature
+from .signatures import torus_signature
 
 __version__ = "0.1.0"
 
@@ -49,5 +49,4 @@ __all__ = [
     "torus_complex",
     "torus_signature",
     "two_bridge_generators",
-    "two_bridge_signature",
 ]

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import mod_inverse
 from .covers import SeifertData, _as_int
-from .errors import InconsistentLkError
+from .errors import InconsistentLkError, NotCoprimeError
 from .lens import index_plus_one, indices_plus_one
 from .seifert import (
     _irreducible_count,
@@ -25,7 +25,7 @@ from .seifert import (
     enumerate_projective,
     reducible_characters,
 )
-from .signatures import two_bridge_signature, torus_signature
+from .signatures import torus_signature
 
 ABSOLUTE = "absolute"
 CYCLIC = "cyclic"
@@ -103,16 +103,23 @@ def euler_characteristic(c: ChainRanks) -> int:
 def two_bridge_generators(p: int, q: int) -> GradedGenerators:
     """Generator blocks of the two-bridge chain complex for the pair (p, q).
 
-    The special generator sits at the signature mod 4.  Each ell labels a
-    circle on the lens-space cover; its Morse-Bott index comes from the
-    mod-8 lattice-count datum of L(p, q') with q' the inverse of q, the
-    parameterization pinned by the figure-eight vector (ell 1 -> 2,
+    The special generator sits at the signature mod 4.  For a knot
+    sigma = det - 1 (mod 4) (Murasugi, Trans. AMS 1965), and the two-bridge
+    knot of (p, q) has determinant p, so the residue is (p - 1) mod 4; the
+    tests pin it to the floor-sum signature in ``tests/oracles.py``.
+    Each ell labels a circle on the lens-space cover; its Morse-Bott index
+    comes from the mod-8 lattice-count datum of L(p, q') with q' the inverse
+    of q, the parameterization pinned by the figure-eight vector (ell 1 -> 2,
     ell 2 -> 4).
     """
-    sign = two_bridge_signature(p, q)
-    entries = [_row(sign % 4, 1, SPECIAL)]
+    if p < 1 or p % 2 == 0:
+        raise ValueError(f"p must be odd and >= 1, got {p}")
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")
+    residue = (p - 1) % 4
+    entries = [_row(residue, 1, SPECIAL)]
     # a class's rows at each mod-8 index, which is even, copied per class
-    blocks = {index: _reducible_rows((index // 2 + sign) % 4) for index in range(0, 8, 2)}
+    blocks = {index: _reducible_rows((index // 2 + residue) % 4) for index in range(0, 8, 2)}
     # the indices of L(p, q') read only the inverse of q', which is q itself
     for ell, index in enumerate(indices_plus_one(p, q), 1):
         for row in blocks[index]:

@@ -1,8 +1,9 @@
 """Independent routes the shipping kernels are pinned to; only tests call them.
 
-- The Goeritz form of the two-bridge signature: the even continued fraction
-  of (p, q), its tridiagonal form and the exact signature of a symmetric
-  integer matrix.
+- The two-bridge signature by two floor sums; the shipping code reads only
+  its residue, (p - 1) mod 4.  It is pinned to the Goeritz form: the even
+  continued fraction of (p, q), its tridiagonal form and the exact signature
+  of a symmetric integer matrix.
 - The lens lattice counts by a walk over the j-range and by a double loop
   over the whole rectangle, and the batch lens index on a Fenwick tree of
   one bit per folded value and on 256-bit words with a Fenwick tree over
@@ -38,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from floerchains.arith import mod_inverse
+from floerchains.arith import floor_sum, mod_inverse
 from floerchains.complexes import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -61,7 +62,6 @@ from floerchains.seifert import (
     _rotation_intervals,
     reducible_characters,
 )
-from floerchains.signatures import two_bridge_signature
 
 
 def _nearest_even_quotient(num: int, den: int) -> int:
@@ -174,6 +174,33 @@ def goeritz_signature(p: int, q: int) -> int:
         if i + 1 < n:
             matrix[i][i + 1] = matrix[i + 1][i] = 1
     return signature(matrix)
+
+
+def two_bridge_signature(p: int, q: int) -> int:
+    """Signature of the two-bridge knot attached to (p, q).
+
+    Closed form: with q_odd the odd representative of q in (-p, p),
+
+        sigma = -sum_{i=1}^{p-1} (-1)^floor(i*q_odd/p).
+
+    Replacing q_odd by a = q_odd mod 2p keeps every parity, and
+    (-1)^f = 1 - 2f + 4*floor(f/2) with floor(f/2) = floor(i*a/(2p)), so
+    the sum is two floor sums (``arith.floor_sum``) and costs O(log p).
+    ``tests/oracles.py`` holds the route the tests pin it to: the exact
+    signature of the tridiagonal Goeritz-type form of the even continued
+    fraction of (p, q).
+    As a sum of p - 1 signs the value is even with |value| <= p - 1; the
+    figure-eight pair (5, 3) gives 0 and (3, 1) gives -2.
+    """
+    if p == 1:
+        return 0
+    if p < 1 or p % 2 == 0:
+        raise ValueError(f"p must be odd and >= 1, got {p}")
+    q0 = q % p
+    if q0 == 0 or math.gcd(p, q0) != 1:
+        raise NotCoprimeError(f"q = {q} is not invertible mod p = {p}")
+    a = q0 if q0 % 2 else q0 + p  # q_odd mod 2p
+    return -((p - 1) - 2 * floor_sum(p, p, a, 0) + 4 * floor_sum(p, 2 * p, a, 0))
 
 
 def naive_counts(p: int, q: int, ell: int) -> LatticeCounts:

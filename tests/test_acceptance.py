@@ -26,7 +26,7 @@ from floerchains.seifert import (
     enumerate_projective,
     reducible_characters,
 )
-from floerchains.signatures import torus_signature, two_bridge_signature
+from floerchains.signatures import torus_signature
 
 from oracles import (
     _w2_shifts,
@@ -35,6 +35,7 @@ from oracles import (
     rotation_sweep,
     torus_alexander,
     two_bridge_complex,
+    two_bridge_signature,
 )
 from su2_oracle import seifert_su2_count
 from test_seifert import irreducible_count

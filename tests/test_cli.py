@@ -819,7 +819,7 @@ class TestRegress:
         assert not any(line.startswith(" ") for line in out.splitlines())
         assert out.endswith("OK: 0 failing case(s)\n")
 
-    def test_filter(self, capsys):
+    def test_takes_no_options(self, capsys):
         # regress takes no options: --filter and --verbose are usage errors
         for option in (["--filter", "two-bridge"], ["--verbose"]):
             with pytest.raises(SystemExit) as err:

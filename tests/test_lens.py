@@ -4,9 +4,14 @@ import random
 from floerchains.arith import mod_inverse
 from floerchains.complexes import two_bridge_generators
 from floerchains.lens import LatticeCounts, index_plus_one, indices_plus_one, lattice_counts
-from floerchains.signatures import two_bridge_signature
 
-from oracles import bit_fenwick_indices, naive_counts, walk_counts, word_fenwick_indices
+from oracles import (
+    bit_fenwick_indices,
+    naive_counts,
+    two_bridge_signature,
+    walk_counts,
+    word_fenwick_indices,
+)
 
 
 def classes(p, q):

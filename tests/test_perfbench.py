@@ -47,6 +47,7 @@ def test_trace_bindings_missing_only_known_names():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert json.loads(done.stdout) == [
+        "floerchains.complexes.two_bridge_signature",
         "floerchains.signatures.signature",
         "floerchains.seifert.smith_normal_form",
         "floerchains.complexes.enumerate_irreducibles",

@@ -35,7 +35,6 @@ from floerchains.seifert import (
     enumerate_projective,
     reducible_characters,
 )
-from floerchains.signatures import two_bridge_signature
 
 from oracles import (
     _mod2_solutions,
@@ -47,6 +46,7 @@ from oracles import (
     montesinos_knot_rows,
     two_bridge_rank_vector,
     two_bridge_rows,
+    two_bridge_signature,
     walk_counts,
 )
 

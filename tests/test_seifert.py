@@ -184,8 +184,13 @@ class TestCasson:
         assert trivial == 1531
 
     def test_rejects_common_factor(self):
-        with pytest.raises(NotCoprimeError):
-            casson(2, 4, 5)
+        # the Seifert data makes casson's checks before any inverse is
+        # taken; a zero multiplicity fails positivity before coprimality
+        for f in (casson, brieskorn_seifert_data):
+            with pytest.raises(NotCoprimeError, match="^2 and 4 are not coprime$"):
+                f(2, 4, 5)
+            with pytest.raises(ValueError, match=r"^multiplicities must be positive, got \(0, 3, 5\)$"):
+                f(0, 3, 5)
 
     def test_odd_count_raises(self, monkeypatch):
         monkeypatch.setattr(seifert, "_irreducible_count", lambda pairs: 3)

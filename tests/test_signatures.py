@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from floerchains.complexes import two_bridge_generators
 from floerchains.errors import NotCoprimeError
 from floerchains.seifert import casson
-from floerchains.signatures import torus_signature, two_bridge_signature
+from floerchains.signatures import torus_signature
 
 from oracles import (
     even_continued_fraction,
@@ -13,6 +14,7 @@ from oracles import (
     signature,
     torus_lattice_signature,
     torus_recursion_signature,
+    two_bridge_signature,
 )
 
 
@@ -79,14 +81,16 @@ class TestTwoBridgeSignature:
             checked += 1
 
     def test_input_errors(self):
-        with pytest.raises(ValueError):
-            two_bridge_signature(4, 1)
-        with pytest.raises(ValueError):
-            two_bridge_signature(-3, 1)
-        with pytest.raises(NotCoprimeError):
-            two_bridge_signature(9, 3)
-        with pytest.raises(NotCoprimeError):
-            two_bridge_signature(7, 14)
+        # the record builder keeps the oracle's checks, order and messages
+        for f in (two_bridge_signature, two_bridge_generators):
+            with pytest.raises(ValueError, match="^p must be odd and >= 1, got 4$"):
+                f(4, 1)
+            with pytest.raises(ValueError, match="^p must be odd and >= 1, got -3$"):
+                f(-3, 1)
+            with pytest.raises(NotCoprimeError, match="^q = 3 is not invertible mod p = 9$"):
+                f(9, 3)
+            with pytest.raises(NotCoprimeError, match="^q = 14 is not invertible mod p = 7$"):
+                f(7, 14)
 
     def test_q_inverse_invariance(self):
         for p in range(3, 100, 2):
@@ -146,11 +150,26 @@ class TestTwoBridgeSignature:
 
     def test_residue_is_determinant_minus_one(self):
         # sigma = det - 1 (mod 4) for every knot, and the two-bridge knot
-        # of (p, q) has determinant p
+        # of (p, q) has determinant p; two_bridge_generators grades its
+        # special generator by this rule on every q the CLI accepts:
+        # negative, past p, and with p up to 10**9
         for p in range(1, 200, 2):
-            for q in range(1, p):
+            for q in range(-2 * p, 2 * p + 1):
                 if math.gcd(p, q) == 1:
-                    assert (two_bridge_signature(p, q) - p + 1) % 4 == 0, (p, q)
+                    sign = two_bridge_signature(p, q)
+                    assert (sign - p + 1) % 4 == 0, (p, q)
+                    if p < 100:
+                        special = two_bridge_generators(p, q).entries[0]
+                        assert special["origin"] == "special", (p, q)
+                        assert special["grading"] == sign % 4, (p, q)
+        rng = random.Random(8)
+        checked = 0
+        while checked < 20000:
+            p = rng.randrange(1, 10**9, 2)
+            q = rng.randrange(-2 * p, 2 * p + 1)
+            if math.gcd(p, q) == 1:
+                assert (two_bridge_signature(p, q) - p + 1) % 4 == 0, (p, q)
+                checked += 1
 
     def test_unknot(self):
         assert two_bridge_signature(1, 1) == 0
